@@ -16,10 +16,10 @@ from .cycles import (AvgFilter, Filter, FilterSpec, GeneratorWord, Wheel,
                      format_word, parse_word, wheel_cycle, word_cycle)
 from .maps import (averaged_inclusion_q, include_permutohedron, project_p,
                    spin, spin_sigma)
-from .homology import (DEFAULT_MAX_CELLS, BoundaryAnswer, ExpressResult,
-                       HomologyProfile, ResourceRefusal, betti_number,
-                       decomposition_check, estimate_cells, express,
-                       homology_profile, is_boundary)
+from .homology import (DEFAULT_MAX_CELLS, BoundaryAnswer, CertificateError,
+                       ExpressResult, HomologyProfile, ResourceRefusal,
+                       betti_number, decomposition_check, estimate_cells,
+                       express, homology_profile, is_boundary)
 from .basis import (AM, AMW, BasisReport, basis_change, basis_cycle,
                     enumerate_basis, verify_basis)
 from .algebra import (RelationInstance, StabilityParams, WordCombination, act,
@@ -41,7 +41,8 @@ __all__ = [
     "filter_cycle", "averaged_filter_cycle", "word_cycle",
     "spin", "spin_sigma", "include_permutohedron", "averaged_inclusion_q",
     "project_p",
-    "DEFAULT_MAX_CELLS", "ResourceRefusal", "HomologyProfile", "BoundaryAnswer",
+    "DEFAULT_MAX_CELLS", "ResourceRefusal", "CertificateError",
+    "HomologyProfile", "BoundaryAnswer",
     "ExpressResult", "estimate_cells", "homology_profile", "betti_number",
     "is_boundary", "express", "decomposition_check",
     "AM", "AMW", "BasisReport", "enumerate_basis", "basis_cycle",

@@ -118,7 +118,7 @@ class ChainVector:
         """Coefficients keyed by canonical cell index."""
         if index is None:
             index = cell_index(self.spec, self.degree)
-        return {index[c]: Fraction(v) for c, v in self.coeffs.items()}
+        return {index[c]: v for c, v in self.coeffs.items()}
 
 
 # ---------------------------------------------------------------------------

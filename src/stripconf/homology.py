@@ -3,7 +3,12 @@
 Betti numbers come from exact ranks of the boundary matrices:
 betti_k = #cells_k - rank d_k - rank d_{k+1}.  The echelon of the image of
 d_{k+1} is cached per (complex, degree), so repeated membership queries
-(is_boundary, express) in the same degree reuse one elimination.
+(is_boundary, express) in the same degree reuse one elimination.  A tracked
+echelon has the same rows as a plain one, so it serves both kinds of query
+and replaces a plain one when a witness is first asked for.
+
+Every witness and certificate is checked before it is returned; a failed
+check raises CertificateError, which `python -O` does not strip.
 
 Cell enumeration is refused up front when a size estimate exceeds the
 resource cap; the estimate counts cells kind- and width-aware for unit
@@ -14,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from typing import Dict, Optional, Sequence, Tuple
@@ -30,6 +34,10 @@ DEFAULT_MAX_CELLS = 5_000_000
 
 class ResourceRefusal(RuntimeError):
     """Raised instead of attempting an enumeration past the resource cap."""
+
+
+class CertificateError(ArithmeticError):
+    """A computed answer failed its own exactness check."""
 
 
 @lru_cache(maxsize=None)
@@ -89,7 +97,7 @@ def _guard(spec: ComplexSpec, degrees, max_cells: int):
 # ---------------------------------------------------------------------------
 # cached image echelons
 
-_image_cache: Dict[tuple, Echelon] = {}
+_image_cache: Dict[tuple, Echelon] = {}  # (spec, degree) -> echelon
 
 
 def image_echelon(spec: ComplexSpec, degree: int, track: bool = False,
@@ -97,11 +105,12 @@ def image_echelon(spec: ComplexSpec, degree: int, track: bool = False,
     """Echelon of the boundaries of (degree+1)-cells, as vectors in C_degree.
 
     Tracked echelons remember which (degree+1)-cells combine into each
-    echelon row, which is what boundary witnesses are made of.
+    echelon row, which is what boundary witnesses are made of.  A cached
+    tracked echelon is returned for untracked requests too.
     """
-    key = (spec, degree, track)
+    key = (spec, degree)
     ech = _image_cache.get(key)
-    if ech is not None:
+    if ech is not None and (ech.track or not track):
         return ech
     ech = Echelon(track=track)
     top = spec.top_degree()
@@ -161,10 +170,12 @@ def homology_profile(spec: ComplexSpec, max_cells: int = DEFAULT_MAX_CELLS,
     for d in range(1, top + 1):
         ranks[d] = boundary_rank(spec, d, cache_dir=cache_dir)
     betti = tuple(cells[d] - ranks[d] - ranks[d + 1] for d in range(top + 1))
-    assert all(b >= 0 for b in betti)
+    if any(b < 0 for b in betti):
+        raise CertificateError(f"negative Betti number in {betti}")
     euler_cells = sum((-1) ** d * c for d, c in enumerate(cells))
     euler_betti = sum((-1) ** d * b for d, b in enumerate(betti))
-    assert euler_cells == euler_betti, "Euler characteristic mismatch"
+    if euler_cells != euler_betti:
+        raise CertificateError("Euler characteristic mismatch")
     prof = HomologyProfile(spec, betti, cells, tuple(ranks))
     _profile_cache[key] = prof
     return prof
@@ -191,7 +202,7 @@ def betti_number(spec: ComplexSpec, degree: int,
 class BoundaryAnswer:
     is_boundary: bool
     witness: Optional[ChainVector] = None
-    certificate: Optional[dict] = None  # cell -> Fraction, a functional
+    certificate: Optional[dict] = None  # cell -> exact rational, a functional
 
     def __bool__(self):
         return self.is_boundary
@@ -206,31 +217,26 @@ def is_boundary(chain: ChainVector, want_witness: bool = False,
     the same degree vanishing on all boundaries but not on the input.
     """
     spec, k = chain.spec, chain.degree
-    assert is_cycle(chain), "is_boundary expects a cycle"
+    if not is_cycle(chain):
+        raise ValueError("is_boundary expects a cycle")
     if chain.is_zero():
         return BoundaryAnswer(True, witness=ChainVector.zero(spec, k + 1))
     top = spec.top_degree()
     _guard(spec, [d for d in (k, k + 1) if 0 <= d <= top], max_cells)
     index = cell_index(spec, k)
     vec = chain.to_column(index)
-    if not want_witness:
-        ech = image_echelon(spec, k, cache_dir=cache_dir)
-        res = ech.residue(vec)
-        if res:
-            cells = enumerate_cells(spec, k)
-            cert = {cells[c]: v for c, v in ech.annihilator(vec).items()}
-            return BoundaryAnswer(False, certificate=cert)
-        return BoundaryAnswer(True)
-    ech = image_echelon(spec, k, track=True, cache_dir=cache_dir)
-    coords = ech.coordinates(vec)
+    ech = image_echelon(spec, k, track=want_witness, cache_dir=cache_dir)
+    coords = ech.coordinates(vec) if want_witness else None
     if coords is None:
-        plain = image_echelon(spec, k, cache_dir=cache_dir)
+        y = ech.annihilator(vec)
+        if y is None:
+            return BoundaryAnswer(True)
         cells = enumerate_cells(spec, k)
-        cert = {cells[c]: v for c, v in plain.annihilator(vec).items()}
-        return BoundaryAnswer(False, certificate=cert)
+        return BoundaryAnswer(False, certificate={cells[c]: v for c, v in y.items()})
     upcells = enumerate_cells(spec, k + 1)
     witness = ChainVector(spec, k + 1, {upcells[j]: v for j, v in coords.items()})
-    assert boundary(witness) == chain
+    if boundary(witness) != chain:
+        raise CertificateError("the boundary witness does not reproduce the cycle")
     return BoundaryAnswer(True, witness=witness)
 
 
@@ -255,9 +261,10 @@ def express(chain: ChainVector, basis: Sequence[ChainVector],
     """
     spec, k = chain.spec, chain.degree
     for b in basis:
-        assert b.spec == spec and b.degree == k, "basis must match the chain"
-        assert is_cycle(b)
-    assert is_cycle(chain)
+        if b.spec != spec or b.degree != k:
+            raise ValueError("basis must match the chain")
+    if not all(is_cycle(z) for z in (chain, *basis)):
+        raise ValueError("express expects cycles")
     top = spec.top_degree()
     _guard(spec, [d for d in (k, k + 1) if 0 <= d <= top], max_cells)
     index = cell_index(spec, k)
@@ -274,13 +281,13 @@ def express(chain: ChainVector, basis: Sequence[ChainVector],
         cells = enumerate_cells(spec, k)
         residual = ChainVector(spec, k, {cells[c]: v for c, v in left.items()})
         return ExpressResult(False, residual=residual)
-    coeffs = tuple(coords.get(i, Fraction(0)) for i in range(len(basis)))
+    coeffs = tuple(coords.get(i, 0) for i in range(len(basis)))
     combo = ChainVector.zero(spec, k)
     for c, b in zip(coeffs, basis):
         if c:
             combo = combo + b.scale(c)
-    check = ech.residue((chain - combo).to_column(index))
-    assert not check, "express produced a non-bounding remainder"
+    if ech.residue((chain - combo).to_column(index)):
+        raise CertificateError("express produced a non-bounding remainder")
     return ExpressResult(True, coefficients=coeffs)
 
 

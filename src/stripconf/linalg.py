@@ -1,24 +1,27 @@
 """Exact sparse linear algebra over the rationals.
 
-Everything here works with sparse vectors (dicts mapping column index to a
-nonzero value).  Ranks and memberships are decided by an integer row
-echelon built with fraction-free eliminations: each incoming row is
-reduced against the rows already absorbed, and whatever remains becomes a
-new echelon row after clearing the content gcd.  Absorption order is
-deterministic (least leading column, then fewest entries, then input
-index), so all downstream answers are reproducible.
+Sparse vectors are dicts mapping a column index to a nonzero exact
+rational.  Ranks, memberships, witnesses and certificates all come from one
+fraction-free kernel, `Echelon._reduce`: input is scaled to integers once
+by the lcm of its denominators, pivot columns are eliminated least first
+with integer updates, and the working row is rescaled only when a pivot
+does not divide its entry.  Answers are scaled back once: ints where
+integral, Fractions elsewhere.  Absorption order is deterministic (least
+leading column, then fewest entries, then input index) and every row is
+primitive with a positive pivot, so all answers are reproducible.
 
-The echelon optionally tracks how each of its rows combines the input
-rows; that is what turns "this vector is in the span" into an explicit
-witness, and "it is not" into a certifying functional that vanishes on
-the span but not on the vector.
+Tracking records each row as an integer combination of the input rows over
+one positive denominator per row; that gives witnesses ("in the span") and
+certifying functionals ("not in the span").  It does not change the
+eliminations, so tracked and untracked echelons have identical rows.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
-from math import gcd
-from typing import Dict, List, Optional, Sequence
+from math import gcd, lcm
+from typing import Dict, List, Optional, Sequence, Tuple
 
 SparseVec = Dict[int, int]
 
@@ -32,28 +35,40 @@ def _content(row: dict) -> int:
     return g
 
 
+def _integral(vec: dict) -> Tuple[SparseVec, int]:
+    """(k * vec, k) for the least k >= 1 that makes every entry an integer."""
+    dens = [v.denominator for v in vec.values() if type(v) is not int]
+    if not dens:
+        return {c: v for c, v in vec.items() if v}, 1
+    k = lcm(*dens)
+    return {c: int(v * k) for c, v in vec.items() if v}, k
+
+
+def _divided(vec: dict, d) -> dict:
+    """vec / d exactly: ints where integral, Fractions elsewhere."""
+    if d == 1:
+        return vec
+    num, den = Fraction(d).as_integer_ratio()
+    out = {}
+    for c, v in vec.items():
+        v *= den
+        out[c] = v // num if v % num == 0 else Fraction(v, num)
+    return out
+
+
 def clear_denominators(vec: dict) -> SparseVec:
     """Scale a rational sparse vector to a primitive integer one."""
-    if not vec:
-        return {}
-    lcm = 1
-    for v in vec.values():
-        f = Fraction(v)
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    out = {c: int(Fraction(v) * lcm) for c, v in vec.items() if v != 0}
+    out, _ = _integral(vec)
     g = _content(out)
-    if g > 1:
-        out = {c: v // g for c, v in out.items()}
-    return out
+    return {c: v // g for c, v in out.items()} if g > 1 else out
 
 
 class Echelon:
     """Integer row echelon with deterministic absorption.
 
-    rows[i] is a primitive integer sparse row whose least column is
-    pivots_of[i] and whose pivot entry is positive; pivot_row maps that
-    column back to i.  When tracking, combos[i] holds rational input-row
-    coefficients with rows[i] = sum combos[i][tag] * input_tag.
+    rows[i] is primitive with least column pivots_of[i], where its entry is
+    positive; pivot_row maps that column back to i.  When tracking,
+    rows[i] = sum combos[i][tag] * input_tag / dens[i].
     """
 
     def __init__(self, track: bool = False):
@@ -61,158 +76,140 @@ class Echelon:
         self.pivots_of: List[int] = []
         self.pivot_row: Dict[int, int] = {}
         self.track = track
-        self.combos: List[Dict[int, Fraction]] = []
+        self.combos: List[SparseVec] = []
+        self.dens: List[int] = []
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
+    def _reduce(self, work: SparseVec, combo: Optional[SparseVec] = None,
+                full: bool = False):
+        """Eliminate pivot columns, least first, from the integer row `work`.
+
+        Without `full` it stops at the first leading column that is not a
+        pivot.  Returns (work', combo', s, den) with, for the same rationals
+        q_i,  work' = s * work - sum q_i * rows[i]  and
+        combo' / den = s * combo - sum q_i * combos[i] / dens[i].
+        """
+        pivot_row, rows = self.pivot_row, self.rows
+        heap = [c for c in work if c in pivot_row] if full else list(work)
+        heapq.heapify(heap)
+        s = den = 1
+        while heap:
+            col = heapq.heappop(heap)
+            w = work.get(col)
+            if w is None:
+                continue
+            i = pivot_row.get(col)
+            if i is None:
+                break
+            piv = rows[i]
+            p = piv[col]
+            q, r = divmod(w, p)
+            if r:
+                g = gcd(w, p)
+                m, q = p // g, w // g
+                work = {c: v * m for c, v in work.items()}
+                s *= m
+                if combo is not None:
+                    combo = {t: v * m for t, v in combo.items()}
+            for c, v in piv.items():
+                if c in work:
+                    nv = work[c] - q * v
+                    if nv:
+                        work[c] = nv
+                    else:
+                        del work[c]
+                else:
+                    work[c] = -q * v
+                    if not full or c in pivot_row:
+                        heapq.heappush(heap, c)
+            if combo is not None:
+                di = self.dens[i]
+                if den % di:
+                    f = di // gcd(den, di)
+                    combo = {t: v * f for t, v in combo.items()}
+                    den *= f
+                f = q * (den // di)
+                for t, v in self.combos[i].items():
+                    nv = combo.get(t, 0) - f * v
+                    if nv:
+                        combo[t] = nv
+                    else:
+                        del combo[t]
+            if r:
+                g = _content(work)
+                work = {c: v // g for c, v in work.items()}
+                s, den = Fraction(s, g), den * g
+        return work, combo, s, den
+
     def absorb(self, row: dict, tag: Optional[int] = None) -> bool:
-        """Reduce `row` against the echelon; add the remainder if nonzero.
+        """Reduce `row` and keep the remainder; True when it added rank.
 
-        Returns True when the row added rank.  `tag` names the input row
-        in tracked combinations.
+        `tag` names the input row in tracked combinations.
         """
+        work, k = _integral(row)
+        combo = None
         if self.track:
-            return self._absorb_tracked(row, tag)
-        work = clear_denominators(row)
-        while work:
-            col = min(work)
-            i = self.pivot_row.get(col)
-            if i is None:
-                break
-            piv = self.rows[i]
-            a, b = piv[col], work[col]
-            g = gcd(a, b)
-            mw, mp = a // g, b // g
-            if mw != 1:
-                for c in list(work):
-                    work[c] *= mw
-            for c, v in piv.items():
-                nv = work.get(c, 0) - mp * v
-                if nv:
-                    work[c] = nv
-                else:
-                    work.pop(c, None)
-            g = _content(work)
-            if g > 1:
-                for c in list(work):
-                    work[c] //= g
+            combo = {-1 - len(self.rows) if tag is None else tag: k}
+        work, combo, _, den = self._reduce(work, combo)
         if not work:
             return False
-        self._push(work)
-        return True
-
-    def _absorb_tracked(self, row: dict, tag) -> bool:
-        work = {c: Fraction(v) for c, v in row.items() if v != 0}
-        if tag is None:
-            tag = -1 - len(self.rows)
-        combo: Dict[int, Fraction] = {tag: Fraction(1)} if work else {}
-        while work:
-            col = min(work)
-            i = self.pivot_row.get(col)
-            if i is None:
-                break
-            piv = self.rows[i]
-            q = work[col] / piv[col]
-            for c, v in piv.items():
-                nv = work.get(c, Fraction(0)) - q * v
-                if nv:
-                    work[c] = nv
-                else:
-                    work.pop(c, None)
-            for j, t in self.combos[i].items():
-                nv = combo.get(j, Fraction(0)) - q * t
-                if nv:
-                    combo[j] = nv
-                else:
-                    combo.pop(j, None)
-        if not work:
-            return False
-        prim = clear_denominators(work)
-        col = min(prim)
-        sign = -1 if prim[col] < 0 else 1
-        scale = Fraction(sign * prim[col]) / work[col]
-        self.combos.append({j: t * scale for j, t in combo.items()})
-        self._push(prim)
-        return True
-
-    def _push(self, prim: SparseVec):
-        col = min(prim)
-        if prim[col] < 0:
-            prim = {c: -v for c, v in prim.items()}
+        col = min(work)
+        g = _content(work) if work[col] > 0 else -_content(work)
         self.pivot_row[col] = len(self.rows)
-        self.rows.append(prim)
+        self.rows.append({c: v // g for c, v in work.items()})
         self.pivots_of.append(col)
+        if combo is not None:
+            den *= g
+            h = gcd(_content(combo), den) * (-1 if den < 0 else 1)
+            self.combos.append({t: v // h for t, v in combo.items()})
+            self.dens.append(den // h)
+        return True
 
-    def residue(self, vec: dict) -> Dict[int, Fraction]:
+    def residue(self, vec: dict) -> dict:
         """The remainder of `vec` after eliminating all pivot columns."""
-        work = {c: Fraction(v) for c, v in vec.items() if v != 0}
-        while True:
-            hit = [c for c in work if c in self.pivot_row]
-            if not hit:
-                return work
-            col = min(hit)
-            piv = self.rows[self.pivot_row[col]]
-            q = work[col] / piv[col]
-            for c, v in piv.items():
-                nv = work.get(c, Fraction(0)) - q * v
-                if nv:
-                    work[c] = nv
-                else:
-                    work.pop(c, None)
+        work, k = _integral(vec)
+        work, _, s, _ = self._reduce(work, full=True)
+        return _divided(work, s * k)
 
-    def coordinates(self, vec: dict) -> Optional[Dict[int, Fraction]]:
-        """Input-row coefficients expressing `vec`, or None if outside the span.
+    def coordinates(self, vec: dict) -> Optional[dict]:
+        """{input tag: c} with vec = sum c * input_row, or None off the span."""
+        if not self.track:
+            raise ValueError("coordinates need a tracked echelon")
+        work, k = _integral(vec)
+        work, combo, s, den = self._reduce(work, {})
+        if work:
+            return None
+        # 0 = s*k*vec - sum q_i rows[i]  and  combo/den = -sum q_i combos[i]/dens[i]
+        return _divided(combo, -s * k * den)
 
-        Requires tracking.  Returns {input tag: coefficient} with
-        vec = sum coeff * input_row.
-        """
-        assert self.track, "coordinates need a tracked echelon"
-        work = {c: Fraction(v) for c, v in vec.items() if v != 0}
-        out: Dict[int, Fraction] = {}
-        while work:
-            col = min(work)
-            i = self.pivot_row.get(col)
-            if i is None:
-                return None
-            piv = self.rows[i]
-            q = work[col] / piv[col]
-            for c, v in piv.items():
-                nv = work.get(c, Fraction(0)) - q * v
-                if nv:
-                    work[c] = nv
-                else:
-                    work.pop(c, None)
-            for j, t in self.combos[i].items():
-                nv = out.get(j, Fraction(0)) + q * t
-                if nv:
-                    out[j] = nv
-                else:
-                    out.pop(j, None)
-        return out
-
-    def annihilator(self, vec: dict) -> Optional[Dict[int, Fraction]]:
+    def annihilator(self, vec: dict) -> Optional[dict]:
         """A functional y with y(row) = 0 for every echelon row, y(vec) != 0.
 
-        Returns None when vec lies in the span.  y is sparse: it is 1 on
-        one non-pivot column of the residue and supported elsewhere only
-        on pivot columns.
+        None when vec lies in the span.  y is 1 on one non-pivot column of
+        the residue and supported elsewhere only on pivot columns.
         """
-        res = self.residue(vec)
-        if not res:
+        work = self._reduce(_integral(vec)[0], full=True)[0]
+        if not work:
             return None
-        col = min(res)
-        y: Dict[int, Fraction] = {col: Fraction(1)}
-        # fix the dot product with each echelon row, largest pivot first;
-        # rows with larger pivots vanish on all earlier columns, so each
-        # adjustment is final
+        # y = numerators / den; fix the dot product with each echelon row,
+        # largest pivot first: rows with larger pivots vanish on all
+        # earlier columns, so each adjustment is final
+        y, den = {min(work): 1}, 1
         for p in sorted(self.pivot_row, reverse=True):
             row = self.rows[self.pivot_row[p]]
-            d = sum(y[c] * row[c] for c in y if c in row)
+            d = sum(v * y[c] for c, v in row.items() if c in y)
             if d:
-                y[p] = y.get(p, Fraction(0)) - d / row[p]
-        return y
+                a = row[p]
+                if d % a:
+                    m = a // gcd(d, a)
+                    y = {c: v * m for c, v in y.items()}
+                    den *= m
+                    d *= m
+                y[p] = -d // a
+        return _divided(y, den)
 
 
 def echelon_of_rows(rows: Sequence[dict], track: bool = False) -> Echelon:
@@ -230,10 +227,9 @@ def rank_of_rows(rows: Sequence[dict]) -> int:
     return echelon_of_rows(rows).rank
 
 
-def solve_exact(rows: Sequence[dict], target: dict) -> Optional[Dict[int, Fraction]]:
+def solve_exact(rows: Sequence[dict], target: dict) -> Optional[dict]:
     """Coefficients c with sum c[i] * rows[i] = target, or None.
 
     Deterministic: the absorption order prefers least input indices.
     """
-    ech = echelon_of_rows(rows, track=True)
-    return ech.coordinates(target)
+    return echelon_of_rows(rows, track=True).coordinates(target)

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -119,8 +124,58 @@ def test_certificate_vanishes_on_boundaries(rng):
 def test_is_boundary_rejects_non_cycles():
     spec = cell_complex((1, 2), 2)
     u = ChainVector(spec, 1, {((1, 2),): 1})
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         is_boundary(u)
+
+
+def test_certificate_query_builds_one_tracked_echelon():
+    from stripconf.basis import AMW, basis_cycle, enumerate_basis
+    from stripconf.cells import enumerate_cells
+    from stripconf.chains import boundary_matrix
+    from stripconf.homology import _image_cache, image_echelon
+    z = basis_cycle(enumerate_basis(5, 2, 1, AMW)[0], 2)
+    spec = z.spec
+    _image_cache.pop((spec, 1), None)
+    ans = is_boundary(z, want_witness=True)
+    assert not ans
+    built = [e for key, e in _image_cache.items() if key[:2] == (spec, 1)]
+    assert len(built) == 1 and built[0].track
+    assert image_echelon(spec, 1) is built[0]
+    cert = ans.certificate
+    assert sum(cert.get(c, 0) * v for c, v in z.coeffs.items()) != 0
+    cells = enumerate_cells(spec, 1)
+    dots = {}
+    for r, c, v in boundary_matrix(spec, 2).triplets:
+        dots[c] = dots.get(c, 0) + cert.get(cells[r], 0) * v
+    assert not any(dots.values())
+
+
+def test_corrupted_witness_raises_under_python_O():
+    script = textwrap.dedent("""
+        import sys
+        from stripconf.cells import cell_complex
+        from stripconf.chains import ChainVector, boundary
+        from stripconf.homology import CertificateError, is_boundary
+        from stripconf.linalg import Echelon
+
+        honest = Echelon.coordinates
+        def doubled(self, vec):
+            out = honest(self, vec)
+            return None if out is None else {t: 2 * v for t, v in out.items()}
+        Echelon.coordinates = doubled
+        spec = cell_complex((1, 2, 3), 2)
+        z = boundary(ChainVector(spec, 1, {((1, 2), (3,)): 1}))
+        try:
+            is_boundary(z, want_witness=True)
+        except CertificateError:
+            print("CertificateError", sys.flags.optimize)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["CertificateError", "1"]
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +220,7 @@ def test_express_failure_leaves_residual():
 def test_express_validates_degree():
     w = wheel_cycle(Wheel((2, 1)), 2)
     unit = ChainVector(w.spec, 0, {((1,), (2,)): 1})
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         express(unit, [w])
 
 

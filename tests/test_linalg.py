@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,12 @@ rows_st = st.lists(
     st.dictionaries(st.integers(min_value=0, max_value=5), entries, max_size=4)
     .map(lambda d: {c: v for c, v in d.items() if v != 0}),
     min_size=1, max_size=6)
+# entries up to +-4 force non-unit pivots; denominators 2 and 3 force scaling
+rationals = st.one_of(entries, st.builds(Fraction, entries, st.sampled_from([2, 3])))
+rational_vec_st = (st.dictionaries(st.integers(min_value=0, max_value=6), rationals,
+                                   max_size=4)
+                   .map(lambda d: {c: v for c, v in d.items() if v != 0}))
+rational_rows_st = st.lists(rational_vec_st, min_size=1, max_size=7)
 
 
 def combine(rows, coeffs):
@@ -28,6 +35,40 @@ def combine(rows, coeffs):
             else:
                 out.pop(col, None)
     return out
+
+
+def combine_tagged(rows, coeffs):
+    return combine(rows, [coeffs.get(i, 0) for i in range(len(rows))])
+
+
+def reference_reduce(basis, vec):
+    """vec minus multiples of the basis rows, until no lead of theirs is left.
+
+    `basis` maps a lead column to a Fraction row whose least column is that
+    lead, with entry 1 there; plain Gauss elimination, the reference that
+    Echelon is tested against.
+    """
+    v = {c: Fraction(x) for c, x in vec.items() if x}
+    for lead in sorted(basis):
+        f = v.get(lead)
+        if f:
+            for c, x in basis[lead].items():
+                t = v.get(c, 0) - f * x
+                if t:
+                    v[c] = t
+                else:
+                    v.pop(c, None)
+    return v
+
+
+def reference_basis(rows):
+    basis = {}
+    for row in rows:
+        v = reference_reduce(basis, row)
+        if v:
+            lead = min(v)
+            basis[lead] = {c: x / v[lead] for c, x in v.items()}
+    return basis
 
 
 def test_clear_denominators():
@@ -66,7 +107,9 @@ def test_absorb_reports_rank_growth():
 def test_solve_exact_simple():
     rows = [{0: 1, 1: 1}, {1: 1}]
     sol = solve_exact(rows, {0: 2, 1: 3})
-    assert sol == {0: Fraction(2), 1: Fraction(1)}
+    assert sol == {0: 2, 1: 1}
+    assert all(type(v) is int for v in sol.values())
+    assert solve_exact([{0: 2}], {0: 1}) == {0: Fraction(1, 2)}
     assert solve_exact([{0: 1}], {1: 1}) is None
 
 
@@ -117,3 +160,46 @@ def test_residue_and_annihilator_certify_membership(rows, vec):
 @given(rows_st)
 def test_rank_invariant_under_shuffle(rows):
     assert rank_of_rows(rows) == rank_of_rows(list(reversed(rows)))
+
+
+def test_coordinates_need_tracking():
+    with pytest.raises(ValueError):
+        echelon_of_rows([{0: 1}]).coordinates({0: 1})
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_rows_st, rational_vec_st)
+def test_echelon_matches_reference(rows, vec):
+    basis = reference_basis(rows)
+    inside = not reference_reduce(basis, vec)
+    plain = echelon_of_rows(rows)
+    ech = echelon_of_rows(rows, track=True)
+    assert plain.rank == ech.rank == len(basis)
+    res = ech.residue(vec)
+    assert (not res) == inside
+    assert not set(res) & set(ech.pivot_row)
+    # vec - residue lies in the span
+    assert not reference_reduce(basis, {c: Fraction(vec.get(c, 0)) - res.get(c, 0)
+                                        for c in set(vec) | set(res)})
+    coords = ech.coordinates(vec)
+    y = ech.annihilator(vec)
+    if inside:
+        assert y is None
+        assert combine_tagged(rows, coords) == vec
+    else:
+        assert coords is None
+        for row in rows:
+            assert sum(y.get(c, 0) * v for c, v in row.items()) == 0
+        assert sum(y.get(c, 0) * v for c, v in vec.items()) != 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_rows_st)
+def test_tracked_and_plain_echelons_agree(rows):
+    plain = echelon_of_rows(rows)
+    ech = echelon_of_rows(rows, track=True)
+    assert ech.rows == plain.rows
+    assert ech.pivots_of == plain.pivots_of
+    for row, combo, den in zip(ech.rows, ech.combos, ech.dens):
+        assert den > 0
+        assert combine_tagged(rows, {t: Fraction(v, den) for t, v in combo.items()}) == row
