@@ -30,7 +30,7 @@ step.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -40,7 +40,7 @@ from .chains import ChainVector, boundary, concat, is_cycle
 from .cycles import (AvgFilter, Filter, GeneratorWord, Leaf, Node, Wheel,
                      WheelTree, _arranged_faces, _as_tree, _expand_word_blocks,
                      _filter_chain, _segment_chain, averaged_filter_cycle,
-                     comb, tree_labels, tree_weight, wheel_cycle, word_cycle)
+                     comb, tree_labels, wheel_cycle, word_cycle)
 from .linalg import solve_exact
 
 

@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .cells import cell_complex, cell_index, enumerate_cells, wsgn_pairs
-from .chains import ChainVector, is_cycle
+from .cells import cell_complex, cell_index, wsgn_pairs
+from .chains import ChainVector
 from .cycles import AvgFilter, Filter, GeneratorWord, Wheel, word_cycle
 from .homology import betti_number, express, image_echelon
 from .linalg import Echelon

@@ -13,12 +13,19 @@ Labels are positive integers (arbitrary, not necessarily 1..n, so that
 concatenation of disjoint configurations needs no relabeling).  Weights
 are positive integers.  A cell is represented as a tuple of tuples of
 labels, e.g. ((2, 4), (3, 5, 1)) for the symbol `2 4|3 5 1`.
+
+A spec carries its label -> weight dict (`weight_of`), built once when the
+spec is made, so weights are looked up without hashing the spec.  Signs
+see weights only through their parities: `wsgn` is the sign of the
+permutation restricted to odd-weight entries, and the boundary operator
+(chains.py) reads its split signs from one table per pattern of weight
+parities along a block.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
@@ -52,6 +59,9 @@ class ComplexSpec:
     labels: tuple
     weights: tuple
     width: Optional[int]
+    # label -> weight, built once here so that sign and width tests never
+    # hash the spec; derived from the fields above, so left out of eq/hash
+    weight_of: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (ORDERED, PERMUTOHEDRON):
@@ -70,13 +80,14 @@ class ComplexSpec:
                 raise ValueError(f"weight {w} out of range")
         if self.width is not None and not (1 <= self.width <= _INT64_MAX):
             raise ValueError(f"width {self.width} out of range")
+        object.__setattr__(self, "weight_of", dict(zip(self.labels, self.weights)))
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
     def weight(self, label) -> int:
-        return _weight_map(self)[label]
+        return self.weight_of[label]
 
     def total_weight(self) -> int:
         return sum(self.weights)
@@ -131,11 +142,6 @@ def _min_blocks(weights_desc: tuple, width: int) -> int:
     return max(best, 1)
 
 
-@lru_cache(maxsize=None)
-def _weight_map(spec: ComplexSpec) -> dict:
-    return dict(zip(spec.labels, spec.weights))
-
-
 def cell_complex(labels, width: Optional[int], weights=None) -> ComplexSpec:
     """Ordered-block complex cell(A, W, w).  `labels` may be an int n for 1..n."""
     labels, weights = _normalize(labels, weights)
@@ -167,7 +173,7 @@ def _normalize(labels, weights):
 
 
 def wlength(block: Sequence, spec: ComplexSpec) -> int:
-    return sum(spec.weight(a) for a in block)
+    return sum(spec.weight_of[a] for a in block)
 
 
 def wdim(cell: CellSym, spec: ComplexSpec) -> int:
@@ -186,10 +192,12 @@ def wsgn_pairs(source: Sequence, target: Sequence, weight_of) -> int:
     The sign of a transposition of elements a, b is (-1)^{w_a w_b}, so the
     full sign is the parity of sum w_a*w_b over pairs that invert.  Only
     odd-weight elements contribute, which makes this the classical sign of
-    the permutation restricted to odd-weight entries.
+    the permutation restricted to odd-weight entries.  Both sequences must
+    hold the same distinct entries; otherwise this raises ValueError.
     """
-    assert sorted(source, key=repr) == sorted(target, key=repr)
     pos = {a: i for i, a in enumerate(target)}
+    if not (len(source) == len(target) == len(pos) and pos.keys() == set(source)):
+        raise ValueError("wsgn needs two arrangements of the same distinct entries")
     odd = [pos[a] for a in source if weight_of(a) % 2 == 1]
     sign = 1
     for i in range(len(odd)):
@@ -230,9 +238,10 @@ def _fill(remaining: tuple, nblocks: int, spec: ComplexSpec) -> Iterator[CellSym
     if n < nblocks:
         return
     max_first = n - (nblocks - 1)
+    weight_of, width = spec.weight_of, spec.width
     for size in range(1, max_first + 1):
         for chosen in itertools.combinations(remaining, size):
-            if spec.width is not None and wlength(chosen, spec) > spec.width:
+            if width is not None and sum([weight_of[a] for a in chosen]) > width:
                 continue
             rest = tuple(a for a in remaining if a not in chosen)
             if spec.kind == ORDERED:
@@ -246,10 +255,7 @@ def _fill(remaining: tuple, nblocks: int, spec: ComplexSpec) -> Iterator[CellSym
 
 def canonical_key(cell: CellSym):
     """Deterministic total order on cells: block sizes, then flattened labels."""
-    return (
-        tuple(len(b) for b in cell),
-        tuple(a for b in cell for a in b),
-    )
+    return tuple(map(len, cell)), tuple(itertools.chain.from_iterable(cell))
 
 
 @lru_cache(maxsize=512)

@@ -9,6 +9,12 @@ and extends to several blocks by the Leibniz rule with Koszul sign
 (-1)^{sum of wdim of the blocks to the left}.  The same formula serves the
 ordered complexes and the weighted permutohedra: subsequences of an
 ascending block are ascending, so no second convention is needed.
+
+Both signs depend on the weights only through their parities.  A block's
+split signs are therefore read from a table keyed by the tuple of its
+entries' weight parities (`_splits`), computed once per pattern; unit
+weights are the all-odd pattern.  The Koszul sign flips after each block
+whose wlength is even, i.e. which holds an even number of odd weights.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .cells import (
@@ -27,9 +34,6 @@ from .cells import (
     format_cell,
     top_dim,
     validate_cell,
-    wdim,
-    wlength,
-    wsgn,
 )
 
 
@@ -125,24 +129,52 @@ class ChainVector:
 # boundary
 
 
+def _take(positions: tuple):
+    """Getter for the entries of a block at `positions`, always as a tuple."""
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions)
+
+
+@lru_cache(maxsize=None)
+def _splits(odd: tuple) -> tuple:
+    """(take e1, take e2, sign) for every split of a block into (e1, e2).
+
+    `odd` holds the weight parity of each entry of the block, which is all
+    the sign depends on.  The sign is (-1)^{wlength(e1)} * wsgn(b -> e1 e2):
+    the parity of the odd entries in e1 plus the odd-odd pairs at positions
+    i < j with i in e2 and j in e1.  Splits come by size of e1, then
+    lexicographically by e1's positions.
+    """
+    m = len(odd)
+    out = []
+    for r in range(1, m):
+        for e1 in itertools.combinations(range(m), r):
+            e2 = tuple(p for p in range(m) if p not in e1)
+            flips = sum(odd[j] for j in e1)
+            flips += sum(odd[i] for i in e2 for j in e1 if i < j and odd[j])
+            out.append((_take(e1), _take(e2), -1 if flips & 1 else 1))
+    return tuple(out)
+
+
 @lru_cache(maxsize=200000)
 def boundary_cell(spec: ComplexSpec, cell) -> tuple:
-    """Facets of one cell with signs, ordered (block index, split size, lex mask)."""
+    """Facets of one cell with signs, ordered (block index, split size, lex mask).
+
+    Signs come from the `_splits` table of each block's weight parities;
+    the Koszul sign flips after every block of even wlength (odd wdim).
+    """
+    weight_of = spec.weight_of
     out = []
     prefix_sign = 1
     for i, block in enumerate(cell):
+        odd = tuple([weight_of[a] & 1 for a in block])
         if len(block) >= 2:
-            for r in range(1, len(block)):
-                for mask in itertools.combinations(range(len(block)), r):
-                    inmask = set(mask)
-                    e1 = tuple(block[p] for p in mask)
-                    e2 = tuple(block[p] for p in range(len(block)) if p not in inmask)
-                    coef = prefix_sign * wsgn(block, e1 + e2, spec)
-                    if wlength(e1, spec) % 2 == 1:
-                        coef = -coef
-                    facet = cell[:i] + (e1, e2) + cell[i + 1:]
-                    out.append((facet, coef))
-        prefix_sign *= -1 if (wlength(block, spec) - 1) % 2 == 1 else 1
+            head, tail = cell[:i], cell[i + 1:]
+            for take1, take2, sign in _splits(odd):
+                out.append((head + (take1(block), take2(block)) + tail, prefix_sign * sign))
+        if not sum(odd) & 1:
+            prefix_sign = -prefix_sign
     return tuple(out)
 
 

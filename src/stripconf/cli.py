@@ -17,14 +17,12 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from .algebra import (act, generation_check, higher_stability_params,
                       quotient_reduce, r1_instance, r2_instance, r3_instance,
                       r4_instance, r5_instance, reduce as reduce_word,
                       stability_params)
-from .cells import (ORDERED, PERMUTOHEDRON, cell_complex, parse_weighted_set,
-                    permutohedron)
+from .cells import cell_complex, parse_weighted_set, permutohedron
 from .chains import verify_boundary_squared
 from .cycles import Wheel, WordSyntaxError, parse_word
 from .homology import (DEFAULT_MAX_CELLS, ResourceRefusal, decomposition_check,

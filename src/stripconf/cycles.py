@@ -32,8 +32,8 @@ from functools import lru_cache
 from math import factorial
 from typing import Optional, Sequence, Union
 
-from .cells import ORDERED, ComplexSpec, cell_complex, wsgn_pairs
-from .chains import ChainVector, boundary, concat, is_cycle
+from .cells import cell_complex, wsgn_pairs
+from .chains import ChainVector, concat, is_cycle
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,12 @@ weights and falls back to the unrestricted count otherwise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-from .cells import (ORDERED, PERMUTOHEDRON, ComplexSpec, cell_complex,
+from .cells import (ORDERED, ComplexSpec, cell_complex,
                     cell_index, enumerate_cells, permutohedron,
                     wheel_decomposition)
 from .chains import ChainVector, boundary, boundary_matrix, is_cycle
@@ -334,9 +334,12 @@ def decomposition_check(labels, width: int, weights: Optional[dict] = None,
         prof = homology_profile(pspec, max_cells=max_cells, cache_dir=cache_dir)
         sectors += 1
         for d, b in enumerate(prof.betti):
-            if b and d + shift <= top:
-                right[d + shift] += b
-            else:
-                assert b == 0 or d + shift <= top, "sector exceeds the top degree"
+            if not b:
+                continue
+            if d + shift > top:
+                raise CertificateError(
+                    f"sector {sigma} has Betti number {b} in degree {d + shift}, "
+                    f"above the top degree {top}")
+            right[d + shift] += b
     ok = tuple(right) == left.betti
     return DecompositionReport(spec, ok, left.betti, tuple(right), sectors)

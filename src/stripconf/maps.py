@@ -30,7 +30,6 @@ from .cells import (
     ComplexSpec,
     wheel_decomposition,
     wsgn,
-    wsgn_pairs,
 )
 from .chains import ChainVector
 

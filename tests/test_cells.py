@@ -98,6 +98,15 @@ def test_dims_and_signs():
     assert wsgn_pairs((1, 2, 3), (3, 2, 1), lambda a: 2) == 1
 
 
+def test_wsgn_rejects_mismatched_arrangements():
+    unit = lambda a: 1
+    for source, target in [((1, 2), (1, 3)), ((1, 2), (2, 1, 3)), ((1, 1), (1, 2)),
+                           ((1, 2), (1, 1)), ((1, 2, 3), (3, 2))]:
+        with pytest.raises(ValueError):
+            wsgn_pairs(source, target, unit)
+    assert wsgn_pairs((), (), unit) == 1
+
+
 def test_wsgn_is_multiplicative(rng):
     spec = cell_complex(4, None, (1, 2, 1, 3))
     labels = spec.labels

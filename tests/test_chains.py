@@ -1,13 +1,26 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stripconf.cells import cell_complex, enumerate_cells, parse_weighted_set, permutohedron, wdim
+from stripconf.cells import (
+    CONVENTIONS,
+    cell_complex,
+    enumerate_cells,
+    parse_weighted_set,
+    permutohedron,
+    wdim,
+    wlength,
+    wsgn,
+)
 from stripconf.chains import (
     ChainVector,
     boundary,
     boundary_cell,
+    boundary_matrix,
     concat,
     concat_all,
     is_cycle,
@@ -137,3 +150,85 @@ def test_boundary_cell_matches_boundary():
     via_cell = dict(boundary_cell(spec, cell))
     via_chain = boundary(ChainVector(spec, 1, {cell: 1})).coeffs
     assert via_cell == via_chain
+
+
+# ---------------------------------------------------------------------------
+# the sign table against the per-split formula
+
+
+def reference_boundary_cell(spec, cell):
+    """Facets of `cell` with (-1)^{wlength(e1)} * wsgn(b -> e1 e2) per split
+    and the Koszul sign (-1)^{wdim of the blocks to the left}, computed split
+    by split, in (block index, split size, lex mask) order."""
+    out = []
+    prefix = 1
+    for i, block in enumerate(cell):
+        for r in range(1, len(block)):
+            for mask in itertools.combinations(range(len(block)), r):
+                e1 = tuple(block[p] for p in mask)
+                e2 = tuple(block[p] for p in range(len(block)) if p not in mask)
+                sign = prefix * wsgn(block, e1 + e2, spec) * (-1) ** wlength(e1, spec)
+                out.append((cell[:i] + (e1, e2) + cell[i + 1:], sign))
+        prefix *= (-1) ** (wlength(block, spec) - 1)
+    return tuple(out)
+
+
+@st.composite
+def specs_and_cells(draw):
+    labels = tuple(sorted(draw(st.sets(st.integers(1, 40), min_size=1, max_size=6))))
+    weights = tuple(draw(st.integers(1, 3)) for _ in labels)
+    width = draw(st.sampled_from((3, 4, 5, None)))
+    kind = draw(st.sampled_from((cell_complex, permutohedron)))
+    spec = kind(labels, width, weights)
+    order = draw(st.permutations(labels))
+    blocks, block, load = [], [], 0
+    for a in order:
+        # cut where the next label would overflow the width, else maybe
+        if block and (draw(st.booleans())
+                      or width is not None and load + spec.weight(a) > width):
+            blocks.append(block)
+            block, load = [], 0
+        block.append(a)
+        load += spec.weight(a)
+    blocks.append(block)
+    if spec.kind == "perm":
+        blocks = [sorted(b) for b in blocks]
+    return spec, tuple(tuple(b) for b in blocks)
+
+
+@settings(max_examples=400, deadline=None)
+@given(specs_and_cells())
+def test_boundary_cell_matches_the_per_split_formula(spec_cell):
+    spec, cell = spec_cell
+    ChainVector.of_cell(spec, cell)  # the drawn cell is admissible
+    assert boundary_cell(spec, cell) == reference_boundary_cell(spec, cell)
+
+
+# Complexes whose cell lists and boundary matrices are pinned by digest: both
+# kinds, unit and weighted, widths 3, 4, 5 and unrestricted.
+PINNED_COMPLEXES = [
+    cell_complex(4, 3), cell_complex(4, None), cell_complex(5, 3),
+    cell_complex((1, 2, 3, 4), 4, (2, 1, 3, 1)),
+    cell_complex((1, 2, 3, 4), 5, (2, 1, 3, 1)),
+    cell_complex((2, 3, 5, 7), None, (1, 2, 2, 3)),
+    cell_complex((1, 2, 3, 4, 5), None, (3, 1, 2, 1, 2)),
+    permutohedron(5, 3), permutohedron(4, None),
+    permutohedron((1, 2, 3, 4, 5), 5, (2, 1, 1, 3, 2)),
+    permutohedron((1, 2, 3, 4), 4, (3, 2, 1, 2)),
+    permutohedron((1, 3, 4, 6), None, (2, 3, 1, 2)),
+]
+
+
+def test_matrices_match_the_pinned_digest():
+    # the digest and the CONVENTIONS hash were taken before the boundary was
+    # built from sign tables; a change to either invalidates on-disk matrices
+    h = hashlib.sha256()
+    for spec in PINNED_COMPLEXES:
+        h.update(spec.describe().encode())
+        for d in range(spec.top_degree() + 1):
+            h.update(repr(enumerate_cells(spec, d)).encode())
+            if d:
+                h.update(repr(boundary_matrix(spec, d).triplets).encode())
+    assert h.hexdigest() == "f155e2100fa14dbf23295830eaae02b9e1ed853ba91d566c3019ffea1feca00b"
+    assert hashlib.sha256(CONVENTIONS.encode()).hexdigest() == \
+        "39cb9ec40f31add7ee06aff1bfdfaddabc0f78e4253343d4901a879ac595ac38"

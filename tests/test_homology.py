@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,7 +11,9 @@ import pytest
 from stripconf.cells import cell_complex, permutohedron
 from stripconf.chains import ChainVector, boundary, is_cycle
 from stripconf.cycles import Wheel, averaged_filter_cycle, wheel_cycle
+import stripconf.homology as homology
 from stripconf.homology import (
+    CertificateError,
     ResourceRefusal,
     betti_number,
     decomposition_check,
@@ -255,6 +258,22 @@ def test_decomposition_check_weighted():
     rep = decomposition_check((1, 2), 3, {1: 1, 2: 2})
     assert rep.ok
     assert rep.sectors == 2
+
+
+def test_decomposition_check_rejects_a_sector_above_the_top(monkeypatch):
+    # a sector claiming homology above the ordered complex's top degree is
+    # a failed check, not a silently dropped term
+    real = homology.homology_profile
+
+    def inflated(spec, **kwargs):
+        prof = real(spec, **kwargs)
+        if spec.kind == "perm":
+            prof = dataclasses.replace(prof, betti=prof.betti + (0,) * spec.n + (1,))
+        return prof
+
+    monkeypatch.setattr(homology, "homology_profile", inflated)
+    with pytest.raises(CertificateError, match="above the top degree"):
+        decomposition_check((1, 2, 3), 2)
 
 
 def test_permutohedron_profile():
