@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 from .cells import cell_complex, cell_index, wsgn_pairs
 from .chains import ChainVector
 from .cycles import AvgFilter, Filter, GeneratorWord, Wheel, word_cycle
-from .homology import betti_number, express, image_echelon
+from .homology import CertificateError, betti_number, express, image_echelon
 from .linalg import Echelon
 
 AM = "am"
@@ -105,7 +105,8 @@ def enumerate_basis(labels, width: int, degree: int, style: str = AMW,
     if isinstance(labels, int):
         labels = tuple(range(1, labels + 1))
     labels = tuple(sorted(labels))
-    assert style in (AM, AMW)
+    if style not in (AM, AMW):
+        raise ValueError(f"unknown basis style {style!r}")
     n = len(labels)
     words: List[GeneratorWord] = []
 
@@ -194,8 +195,7 @@ class BasisReport:
                 f"independent={self.independent} [{verdict}]")
 
 
-def verify_basis(labels, width: int, degree: int, style: str = AMW,
-                 cache_dir=None) -> BasisReport:
+def verify_basis(labels, width: int, degree: int, style: str = AMW) -> BasisReport:
     """Count the basis words against betti and check independence.
 
     Independence is checked modulo boundaries: the word cycles are reduced
@@ -206,14 +206,16 @@ def verify_basis(labels, width: int, degree: int, style: str = AMW,
     labels = tuple(sorted(labels))
     words = enumerate_basis(labels, width, degree, style)
     spec = cell_complex(labels, width)
-    b = betti_number(spec, degree, cache_dir=cache_dir)
-    ech = image_echelon(spec, degree, cache_dir=cache_dir)
+    b = betti_number(spec, degree)
+    ech = image_echelon(spec, degree)
     index = cell_index(spec, degree)
     small = Echelon()
     independent = True
     for w in words:
         cyc = basis_cycle(w, width)
-        assert cyc.spec == spec and cyc.degree == degree
+        if cyc.spec != spec or cyc.degree != degree:
+            raise CertificateError(f"the cycle of {w} lives outside {spec.describe()}, "
+                                   f"degree {degree}")
         res = ech.residue(cyc.to_column(index))
         if not res or not small.absorb(res):
             independent = False
@@ -281,7 +283,7 @@ def _pairing_sign(word: GeneratorWord) -> int:
         wsgn_pairs(tuple(sorted(tops)), tops, size_of.__getitem__)
 
 
-def basis_change(labels, width: int, degree: int, cache_dir=None) -> BasisChange:
+def basis_change(labels, width: int, degree: int) -> BasisChange:
     """Expand each amw basis word in the am basis.
 
     At the top interesting degree (#labels - 2) the words pair off and the
@@ -298,8 +300,9 @@ def basis_change(labels, width: int, degree: int, cache_dir=None) -> BasisChange
     am_cycles = [basis_cycle(w, width) for w in am_words]
     rows = []
     for w in amw_words:
-        result = express(basis_cycle(w, width), am_cycles, cache_dir=cache_dir)
-        assert result.ok, f"{w} is not an am combination"
+        result = express(basis_cycle(w, width), am_cycles)
+        if not result.ok:
+            raise CertificateError(f"{w} is not an am combination")
         rows.append(result.coefficients)
     triangular: Optional[bool] = None
     if degree == len(labels) - 2 and amw_words:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
@@ -40,8 +39,8 @@ ORDERED = "cell"
 PERMUTOHEDRON = "perm"
 
 # Descriptor of the sign and ordering conventions baked into this module
-# and chains.py.  It is hashed into cache keys so that stale matrices are
-# never reused across convention changes.
+# and chains.py.  tests/test_chains.py pins its hash, so a change of
+# convention has to be made on purpose.
 CONVENTIONS = (
     "block-split boundary (-1)^{wlength(e1)} * wsgn(b -> e1 e2); "
     "Leibniz sign (-1)^{sum wdim of blocks left}; "
@@ -315,9 +314,6 @@ class WheelDecomposition:
         """Degree shift of this decomposition: #labels - #wheels."""
         return sum(len(w) for w in self.wheels) - len(self.wheels)
 
-    def superlabel_weights(self) -> dict:
-        return dict(zip(self.superlabels, self.weights))
-
 
 def wheel_decomposition(perm: Sequence, weight_of=None) -> WheelDecomposition:
     perm = tuple(perm)
@@ -337,18 +333,6 @@ def wheel_decomposition(perm: Sequence, weight_of=None) -> WheelDecomposition:
     axles = tuple(w[0] for w in wheels)
     assert axles == tuple(sorted(axles))
     return WheelDecomposition(tuple(wheels), weights, axles)
-
-
-def lex_compare(sigma: Sequence, rho: Sequence) -> int:
-    """-1, 0, or 1 by the first position where the permutations disagree."""
-    sigma, rho = tuple(sigma), tuple(rho)
-    if sorted(sigma) != sorted(rho):
-        raise ValueError("permutations of different sets")
-    if sigma < rho:
-        return -1
-    if sigma > rho:
-        return 1
-    return 0
 
 
 def s_of_sigma(sigma: Sequence) -> tuple:
@@ -397,7 +381,3 @@ def parse_weighted_set(text: str) -> tuple:
         weights[label] = weight
     labels.sort()
     return tuple(labels), tuple(weights[a] for a in labels)
-
-
-def coeff_str(c: Fraction) -> str:
-    return str(c)

@@ -259,37 +259,22 @@ class BoundaryMatrix:
             cols[c][r] = v
         return cols
 
-    def row_lists(self) -> list:
-        rows: list = [dict() for _ in range(self.rows)]
-        for r, c, v in self.triplets:
-            rows[r][c] = v
-        return rows
 
-
-def boundary_matrix(spec: ComplexSpec, degree: int, cache_dir=None) -> BoundaryMatrix:
+def boundary_matrix(spec: ComplexSpec, degree: int) -> BoundaryMatrix:
     """Matrix of d_degree with rows/cols in canonical cell order.
 
     Column j is the boundary of the j-th `degree`-cell expressed in the
-    (degree-1)-cells.  Persisted to `cache_dir` when given.
+    (degree-1)-cells.
     """
     if degree < 1:
         raise ValueError("boundary_matrix is defined for degree >= 1")
-    if cache_dir is not None:
-        from . import cache
-        cached = cache.load_matrix(cache_dir, spec, degree)
-        if cached is not None:
-            return cached
     lower = cell_index(spec, degree - 1)
     uppers = enumerate_cells(spec, degree)
     trips = []
     for j, cell in enumerate(uppers):
         for facet, s in boundary_cell(spec, cell):
             trips.append((lower[facet], j, s))
-    mat = BoundaryMatrix(spec, degree, len(lower), len(uppers), tuple(sorted(trips)))
-    if cache_dir is not None:
-        from . import cache
-        cache.store_matrix(cache_dir, spec, degree, mat)
-    return mat
+    return BoundaryMatrix(spec, degree, len(lower), len(uppers), tuple(sorted(trips)))
 
 
 @dataclass

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -77,8 +76,7 @@ def _emit(args, payload: dict, table_lines):
 
 def _cmd_betti(args) -> int:
     spec = _spec_from_args(args)
-    prof = homology_profile(spec, max_cells=args.max_cells,
-                            cache_dir=args.cache_dir)
+    prof = homology_profile(spec, max_cells=args.max_cells)
     payload = {
         "kind": spec.kind,
         "labels": list(spec.labels),
@@ -142,8 +140,7 @@ def _cmd_verify(args) -> int:
                    else list(range(args.n)))
         for style in styles:
             for k in degrees:
-                rep = verify_basis(args.n, args.w, k, style,
-                                   cache_dir=args.cache_dir)
+                rep = verify_basis(args.n, args.w, k, style)
                 results.append(
                     (f"{style} basis n={args.n} w={args.w} degree {k}: "
                      f"{rep.count} words, betti {rep.betti}", rep.ok))
@@ -153,7 +150,7 @@ def _cmd_verify(args) -> int:
     elif args.scope == "decomposition":
         if args.n is None:
             raise ValueError("--scope decomposition needs --n")
-        rep = decomposition_check(args.n, args.w, cache_dir=args.cache_dir)
+        rep = decomposition_check(args.n, args.w)
         results.append((f"decomposition n={args.n} w={args.w} "
                         f"({rep.sectors} sectors)", rep.ok))
     elif args.scope == "generation":
@@ -238,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--w", type=int, required=width_required,
                        help="strip width")
         p.add_argument("--format", choices=("table", "json"), default="table")
-        p.add_argument("--cache-dir", default=os.environ.get("STRIPCONF_CACHE_DIR"),
-                       help="directory for boundary matrix caches")
         p.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS,
                        help="refuse complexes larger than this")
 

@@ -100,8 +100,7 @@ def _guard(spec: ComplexSpec, degrees, max_cells: int):
 _image_cache: Dict[tuple, Echelon] = {}  # (spec, degree) -> echelon
 
 
-def image_echelon(spec: ComplexSpec, degree: int, track: bool = False,
-                  cache_dir=None) -> Echelon:
+def image_echelon(spec: ComplexSpec, degree: int, track: bool = False) -> Echelon:
     """Echelon of the boundaries of (degree+1)-cells, as vectors in C_degree.
 
     Tracked echelons remember which (degree+1)-cells combine into each
@@ -115,10 +114,8 @@ def image_echelon(spec: ComplexSpec, degree: int, track: bool = False,
     ech = Echelon(track=track)
     top = spec.top_degree()
     if 0 <= degree < top:
-        mat = boundary_matrix(spec, degree + 1, cache_dir=cache_dir)
-        cols = [dict() for _ in range(mat.cols)]
-        for r, c, v in mat.triplets:
-            cols[c][r] = v
+        mat = boundary_matrix(spec, degree + 1)
+        cols = mat.columns()
         order = sorted(range(mat.cols),
                        key=lambda j: (min(cols[j]) if cols[j] else -1, len(cols[j]), j))
         for j in order:
@@ -128,12 +125,12 @@ def image_echelon(spec: ComplexSpec, degree: int, track: bool = False,
     return ech
 
 
-def boundary_rank(spec: ComplexSpec, degree: int, cache_dir=None) -> int:
+def boundary_rank(spec: ComplexSpec, degree: int) -> int:
     """Rank of d_degree : C_degree -> C_{degree-1}."""
     top = spec.top_degree()
     if degree < 1 or degree > top:
         return 0
-    return image_echelon(spec, degree - 1, cache_dir=cache_dir).rank
+    return image_echelon(spec, degree - 1).rank
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +151,8 @@ class HomologyProfile:
 _profile_cache: Dict[tuple, HomologyProfile] = {}
 
 
-def homology_profile(spec: ComplexSpec, max_cells: int = DEFAULT_MAX_CELLS,
-                     cache_dir=None) -> HomologyProfile:
+def homology_profile(spec: ComplexSpec,
+                     max_cells: int = DEFAULT_MAX_CELLS) -> HomologyProfile:
     key = (spec, )
     if key in _profile_cache:
         return _profile_cache[key]
@@ -168,7 +165,7 @@ def homology_profile(spec: ComplexSpec, max_cells: int = DEFAULT_MAX_CELLS,
     cells = tuple(len(enumerate_cells(spec, d)) for d in range(top + 1))
     ranks = [0] * (top + 2)
     for d in range(1, top + 1):
-        ranks[d] = boundary_rank(spec, d, cache_dir=cache_dir)
+        ranks[d] = boundary_rank(spec, d)
     betti = tuple(cells[d] - ranks[d] - ranks[d + 1] for d in range(top + 1))
     if any(b < 0 for b in betti):
         raise CertificateError(f"negative Betti number in {betti}")
@@ -182,7 +179,7 @@ def homology_profile(spec: ComplexSpec, max_cells: int = DEFAULT_MAX_CELLS,
 
 
 def betti_number(spec: ComplexSpec, degree: int,
-                 max_cells: int = DEFAULT_MAX_CELLS, cache_dir=None) -> int:
+                 max_cells: int = DEFAULT_MAX_CELLS) -> int:
     """One Betti number without computing the whole profile."""
     top = spec.top_degree()
     if degree < 0 or degree > top:
@@ -190,8 +187,8 @@ def betti_number(spec: ComplexSpec, degree: int,
     _guard(spec, [d for d in (degree - 1, degree, degree + 1) if 0 <= d <= top],
            max_cells)
     cells_k = len(enumerate_cells(spec, degree))
-    return (cells_k - boundary_rank(spec, degree, cache_dir=cache_dir)
-            - boundary_rank(spec, degree + 1, cache_dir=cache_dir))
+    return (cells_k - boundary_rank(spec, degree)
+            - boundary_rank(spec, degree + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +206,7 @@ class BoundaryAnswer:
 
 
 def is_boundary(chain: ChainVector, want_witness: bool = False,
-                max_cells: int = DEFAULT_MAX_CELLS, cache_dir=None) -> BoundaryAnswer:
+                max_cells: int = DEFAULT_MAX_CELLS) -> BoundaryAnswer:
     """Decide whether a cycle bounds; optionally produce a witness.
 
     The witness is a (degree+1)-chain whose boundary is the input.  When
@@ -225,7 +222,7 @@ def is_boundary(chain: ChainVector, want_witness: bool = False,
     _guard(spec, [d for d in (k, k + 1) if 0 <= d <= top], max_cells)
     index = cell_index(spec, k)
     vec = chain.to_column(index)
-    ech = image_echelon(spec, k, track=want_witness, cache_dir=cache_dir)
+    ech = image_echelon(spec, k, track=want_witness)
     coords = ech.coordinates(vec) if want_witness else None
     if coords is None:
         y = ech.annihilator(vec)
@@ -251,7 +248,7 @@ class ExpressResult:
 
 
 def express(chain: ChainVector, basis: Sequence[ChainVector],
-            max_cells: int = DEFAULT_MAX_CELLS, cache_dir=None) -> ExpressResult:
+            max_cells: int = DEFAULT_MAX_CELLS) -> ExpressResult:
     """Write a cycle as a basis combination modulo boundaries.
 
     All inputs must be cycles in one complex and degree.  On success the
@@ -268,7 +265,7 @@ def express(chain: ChainVector, basis: Sequence[ChainVector],
     top = spec.top_degree()
     _guard(spec, [d for d in (k, k + 1) if 0 <= d <= top], max_cells)
     index = cell_index(spec, k)
-    ech = image_echelon(spec, k, cache_dir=cache_dir)
+    ech = image_echelon(spec, k)
     residues = [ech.residue(b.to_column(index)) for b in basis]
     target = ech.residue(chain.to_column(index))
     small = Echelon(track=True)
@@ -310,8 +307,7 @@ class DecompositionReport:
 
 
 def decomposition_check(labels, width: int, weights: Optional[dict] = None,
-                        max_cells: int = DEFAULT_MAX_CELLS,
-                        cache_dir=None) -> DecompositionReport:
+                        max_cells: int = DEFAULT_MAX_CELLS) -> DecompositionReport:
     """Check that ordered homology splits over wheel decompositions.
 
     For every permutation sigma of the labels, the axles of sigma's wheels
@@ -322,7 +318,7 @@ def decomposition_check(labels, width: int, weights: Optional[dict] = None,
     """
     spec = cell_complex(labels, width, weights)
     weight_of = spec.weight
-    left = homology_profile(spec, max_cells=max_cells, cache_dir=cache_dir)
+    left = homology_profile(spec, max_cells=max_cells)
     top = spec.top_degree()
     right = [0] * (top + 1)
     sectors = 0
@@ -331,7 +327,7 @@ def decomposition_check(labels, width: int, weights: Optional[dict] = None,
         shift = spec.n - len(dec.wheels)
         pw = dict(zip(dec.superlabels, dec.weights))
         pspec = permutohedron(dec.superlabels, width, pw)
-        prof = homology_profile(pspec, max_cells=max_cells, cache_dir=cache_dir)
+        prof = homology_profile(pspec, max_cells=max_cells)
         sectors += 1
         for d, b in enumerate(prof.betti):
             if not b:

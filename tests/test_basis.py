@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from stripconf.basis import (
@@ -116,3 +122,27 @@ def test_basis_change_triangular():
 def test_basis_change_four_disks():
     change = basis_change(4, 3, 2)
     assert change.triangular is True
+
+
+def test_basis_checks_raise_under_python_O():
+    script = textwrap.dedent("""
+        import sys
+        from stripconf import basis
+        from stripconf.homology import CertificateError, ExpressResult
+
+        try:
+            basis.enumerate_basis(3, 2, 1, "xx")
+        except ValueError:
+            print("ValueError")
+        basis.express = lambda chain, cycles: ExpressResult(False)
+        try:
+            basis.basis_change(3, 2, 1)
+        except CertificateError:
+            print("CertificateError", sys.flags.optimize)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["ValueError", "CertificateError", "1"]

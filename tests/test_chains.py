@@ -221,7 +221,7 @@ PINNED_COMPLEXES = [
 
 def test_matrices_match_the_pinned_digest():
     # the digest and the CONVENTIONS hash were taken before the boundary was
-    # built from sign tables; a change to either invalidates on-disk matrices
+    # built from sign tables; a change to either is a change of convention
     h = hashlib.sha256()
     for spec in PINNED_COMPLEXES:
         h.update(spec.describe().encode())

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -203,3 +205,39 @@ def test_stability_rejects_narrow_strip(capsys):
     code, _, err = run(capsys, "stability", "--k", "1", "--w", "1")
     assert code == 2
     assert "error:" in err
+
+
+# ---------------------------------------------------------------------------
+# the examples in README.md
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples():
+    """(argv, expected stdout lines) for each `$ stripconf` line in a fenced
+    block of README.md; the expected lines are those up to the next command
+    or the end of the block."""
+    examples, current = [], None
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            current = None
+        elif line.startswith("$ stripconf "):
+            current = []
+            examples.append((shlex.split(line[len("$ stripconf "):], comments=True), current))
+        elif current is not None:
+            current.append(line)
+    return examples
+
+
+def test_readme_has_examples():
+    assert len(readme_examples()) == 10
+
+
+@pytest.mark.parametrize("argv, expected", readme_examples(),
+                         ids=[" ".join(argv) for argv, _ in readme_examples()])
+def test_readme_example(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    if expected:
+        assert out.splitlines() == expected

@@ -3,6 +3,10 @@
 Every top-level import in `src/stripconf` must be used in its module:
 read as a name, named in a string annotation, or listed in the module's
 `__all__` (which is how `__init__.py` re-exports).
+
+Every top-level function and class in `src/stripconf` must be referenced
+somewhere in the package or the tests outside its own definition: as a
+name, an attribute or an imported name, or by being listed in `__all__`.
 """
 
 import ast
@@ -10,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "stripconf"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "stripconf"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -56,6 +61,38 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
+def _referenced_names(node: ast.AST) -> set:
+    """Names read, attributes accessed and names imported anywhere in `node`."""
+    refs = _used_names(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            refs.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            refs.update(alias.name for alias in sub.names)
+    return refs
+
+
+def unused_definitions(modules: dict, others=()) -> list:
+    """(module, line, name) of each unreferenced top-level def or class.
+
+    `modules` maps a module name to the source whose definitions are
+    checked; `others` are further sources that only count as references.
+    A definition's own body, where a recursive call lives, does not count.
+    """
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    every_tree = [*trees.values(), *(ast.parse(source) for source in others)]
+    exported = set().union(*map(_exported_names, every_tree))
+    refs = [(stmt, _referenced_names(stmt)) for tree in every_tree for stmt in tree.body]
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name not in exported
+                    and not any(node.name in names for stmt, names in refs if stmt is not node)):
+                found.append((module, node.lineno, node.name))
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -73,3 +110,28 @@ def test_checker_flags_unused_and_honours_all():
         "__all__ = ['cc']\n"
     )
     assert unused_imports(source) == [(2, "json"), (3, "Fraction")]
+
+
+def test_no_unreferenced_top_level_definitions():
+    modules = {p.stem: p.read_text() for p in MODULES}
+    tests = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
+    assert unused_definitions(modules, tests) == []
+
+
+def test_definition_checker_flags_unreferenced_and_honours_all():
+    modules = {
+        "a": (
+            "def by_name(): pass\n"
+            "def by_attribute(): pass\n"
+            "def by_import(): pass\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1) if n else 0\n"
+            "class Dead:\n"
+            "    def make(self): return Dead()\n"
+            "def exported(): pass\n"
+            "__all__ = ['exported']\n"
+        ),
+        "b": "from a import by_import\nx = by_name\n",
+    }
+    others = ["import a\na.by_attribute()\n"]
+    assert unused_definitions(modules, others) == [("a", 4, "recursive"), ("a", 6, "Dead")]
