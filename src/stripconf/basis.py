@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .cells import cell_complex, cell_index, wsgn_pairs
-from .chains import ChainVector
 from .cycles import AvgFilter, Filter, GeneratorWord, Wheel, word_cycle
 from .homology import CertificateError, betti_number, express, image_echelon
 from .linalg import Echelon
@@ -164,14 +163,8 @@ def _pair_level(word: GeneratorWord) -> int:
     return _word_class(word)
 
 
-_word_cycle_cache: Dict[tuple, ChainVector] = {}
-
-
-def basis_cycle(word: GeneratorWord, width: int) -> ChainVector:
-    key = (word, width)
-    if key not in _word_cycle_cache:
-        _word_cycle_cache[key] = word_cycle(word, width)
-    return _word_cycle_cache[key]
+# the cycle of a basis word, under the name the package exports
+basis_cycle = word_cycle
 
 
 @dataclass(frozen=True)

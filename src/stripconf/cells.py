@@ -1,6 +1,6 @@
 """Cells of the strip complexes.
 
-Two families of complexes share one enumeration engine:
+Two families of complexes share one enumeration loop:
 
 * ordered-block complexes cell(A, W, w): a cell is a sequence of bars
   splitting an ordering of the label set A into nonempty blocks, every
@@ -13,6 +13,11 @@ Labels are positive integers (arbitrary, not necessarily 1..n, so that
 concatenation of disjoint configurations needs no relabeling).  Weights
 are positive integers.  A cell is represented as a tuple of tuples of
 labels, e.g. ((2, 4), (3, 5, 1)) for the symbol `2 4|3 5 1`.
+
+The cells of one dimension are listed in canonical order: block sizes,
+then flattened labels.  That is the order of a loop over compositions of
+n (the block sizes) and, inside it, over permutations of the labels, so
+enumeration needs no sort.  The empty label set has one 0-cell, ().
 
 A spec carries its label -> weight dict (`weight_of`), built once when the
 spec is made, so weights are looked up without hashing the spec.  Signs
@@ -214,42 +219,15 @@ def wsgn(source: Sequence, target: Sequence, spec: ComplexSpec) -> int:
 # enumeration
 
 
-def iter_cells(spec: ComplexSpec, dim: int) -> Iterator[CellSym]:
-    """All cells of topological dimension `dim`, canonical order not guaranteed."""
-    n = spec.n
-    if dim < 0:
-        return
-    nblocks = n - dim
-    if nblocks < 1 or (n == 0 and dim > 0):
-        return
-    if n == 0:
-        yield ()
-        return
-    yield from _fill(tuple(sorted(spec.labels)), nblocks, spec)
-
-
-def _fill(remaining: tuple, nblocks: int, spec: ComplexSpec) -> Iterator[CellSym]:
-    if nblocks == 0:
-        if not remaining:
+def compositions(n: int, parts: int, cap: int) -> Iterator[tuple]:
+    """Compositions of n into `parts` parts, each between 1 and cap, in lex order."""
+    if parts <= 0:
+        if parts == 0 and n == 0:
             yield ()
         return
-    n = len(remaining)
-    if n < nblocks:
-        return
-    max_first = n - (nblocks - 1)
-    weight_of, width = spec.weight_of, spec.width
-    for size in range(1, max_first + 1):
-        for chosen in itertools.combinations(remaining, size):
-            if width is not None and sum([weight_of[a] for a in chosen]) > width:
-                continue
-            rest = tuple(a for a in remaining if a not in chosen)
-            if spec.kind == ORDERED:
-                arrangements = itertools.permutations(chosen)
-            else:
-                arrangements = (chosen,)
-            for arr in arrangements:
-                for tail in _fill(rest, nblocks - 1, spec):
-                    yield (arr,) + tail
+    for c in range(1, min(cap, n) + 1):
+        for rest in compositions(n - c, parts - 1, cap):
+            yield (c,) + rest
 
 
 def canonical_key(cell: CellSym):
@@ -259,9 +237,35 @@ def canonical_key(cell: CellSym):
 
 @lru_cache(maxsize=512)
 def enumerate_cells(spec: ComplexSpec, dim: int) -> tuple:
-    """Admissible cells of topological dimension `dim` in canonical order."""
-    cells = sorted(iter_cells(spec, dim), key=canonical_key)
-    assert len(set(cells)) == len(cells)
+    """Admissible cells of topological dimension `dim` in canonical order.
+
+    The loops run in that order: compositions of n into n - dim block sizes
+    in lex order, and for each the permutations of the sorted labels in lex
+    order, cut into blocks of those sizes.  A cut is skipped when a block
+    weighs more than the width, or, in a permutohedron, when a block is not
+    ascending.  The cells therefore come out sorted and distinct.  The empty
+    complex has the one 0-cell ().
+    """
+    n, width, weight_of = spec.n, spec.width, spec.weight_of
+    ascending = spec.kind == PERMUTOHEDRON
+    # a unit-weight block weighs its size, which the composition already caps
+    weighed = width is not None and spec.total_weight() > n
+    cells = []
+    for sizes in compositions(n, n - dim, n if width is None else width):
+        ends = list(itertools.accumulate(sizes))
+        cuts = list(zip([0] + ends, ends))
+        # positions i where i and i + 1 share a block: a permutohedron cell
+        # has no descent there
+        inner = [i for s, e in cuts for i in range(s, e - 1)] if ascending else []
+        for perm in itertools.permutations(spec.labels):
+            for i in inner:
+                if perm[i] > perm[i + 1]:
+                    break
+            else:
+                cell = tuple([perm[s:e] for s, e in cuts])
+                if not (weighed and any(sum(map(weight_of.__getitem__, b)) > width
+                                        for b in cell)):
+                    cells.append(cell)
     return tuple(cells)
 
 

@@ -15,6 +15,10 @@ split signs are therefore read from a table keyed by the tuple of its
 entries' weight parities (`_splits`), computed once per pattern; unit
 weights are the all-odd pattern.  The Koszul sign flips after each block
 whose wlength is even, i.e. which holds an even number of odd weights.
+
+`boundary_cell` caches the facets of a cell, which chain-level `boundary`
+calls ask for again and again; a boundary matrix asks for each cell once,
+so its build bypasses that cache.
 """
 
 from __future__ import annotations
@@ -76,11 +80,7 @@ class ChainVector:
         self._check(other)
         out = dict(self.coeffs)
         for c, v in other.coeffs.items():
-            s = out.get(c, 0) + v
-            if s == 0:
-                out.pop(c, None)
-            else:
-                out[c] = s
+            out[c] = out.get(c, 0) + v
         return ChainVector(self.spec, self.degree, out)
 
     def __sub__(self, other: "ChainVector") -> "ChainVector":
@@ -182,11 +182,7 @@ def boundary(chain: ChainVector) -> ChainVector:
     out: dict = {}
     for cell, v in chain.coeffs.items():
         for facet, s in boundary_cell(chain.spec, cell):
-            t = out.get(facet, 0) + v * s
-            if t == 0:
-                out.pop(facet, None)
-            else:
-                out[facet] = t
+            out[facet] = out.get(facet, 0) + v * s
     return ChainVector(chain.spec, chain.degree - 1, out)
 
 
@@ -270,9 +266,11 @@ def boundary_matrix(spec: ComplexSpec, degree: int) -> BoundaryMatrix:
         raise ValueError("boundary_matrix is defined for degree >= 1")
     lower = cell_index(spec, degree - 1)
     uppers = enumerate_cells(spec, degree)
+    # uncached: the build asks for each cell once, so it never reads what it stores
+    facets_of = boundary_cell.__wrapped__
     trips = []
     for j, cell in enumerate(uppers):
-        for facet, s in boundary_cell(spec, cell):
+        for facet, s in facets_of(spec, cell):
             trips.append((lower[facet], j, s))
     return BoundaryMatrix(spec, degree, len(lower), len(uppers), tuple(sorted(trips)))
 

@@ -33,7 +33,7 @@ from math import factorial
 from typing import Optional, Sequence, Union
 
 from .cells import cell_complex, wsgn_pairs
-from .chains import ChainVector, concat, is_cycle
+from .chains import ChainVector, concat, concat_all, is_cycle
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +392,7 @@ def word_cycle(word: GeneratorWord, width: Optional[int]) -> ChainVector:
             chains.append(filter_cycle(f.wheels, width))
         else:
             raise TypeError(f"unknown word factor {f!r}")
-    result = None
-    for ch in chains:
-        result = ch if result is None else concat(result, ch)
-    if result is None:
-        return ChainVector(cell_complex((), width), 0, {(): 1})
+    result = concat_all(chains, width)
     assert is_cycle(result)
     return result
 

@@ -24,10 +24,10 @@ from math import comb, factorial
 from typing import Dict, Optional, Sequence
 
 from .cells import (ORDERED, ComplexSpec, cell_complex,
-                    cell_index, enumerate_cells, permutohedron,
+                    cell_index, compositions, enumerate_cells, permutohedron,
                     wheel_decomposition)
 from .chains import ChainVector, boundary, boundary_matrix, is_cycle
-from .linalg import Echelon
+from .linalg import Echelon, echelon_of_rows
 
 DEFAULT_MAX_CELLS = 5_000_000
 
@@ -57,16 +57,17 @@ def estimate_cells(spec: ComplexSpec, degree: Optional[int] = None) -> int:
         if top < 0:
             return 0
         return sum(estimate_cells(spec, d) for d in range(top + 1))
-    blocks = n - degree
-    if blocks < 1 or blocks > n:
+    if not 0 <= degree <= max(n - 1, 0):
         return 0
+    blocks = n - degree
+    cap = n if spec.width is None else min(spec.width, n)
     unit = all(w == 1 for w in spec.weights)
     if unit:
         if spec.kind == ORDERED:
-            return factorial(n) * _composition_count(n, blocks, min(spec.width, n))
+            return factorial(n) * _composition_count(n, blocks, cap)
         # ascending blocks: divide out the orderings inside blocks
         total = 0
-        for sizes in _compositions(n, blocks, min(spec.width, n)):
+        for sizes in compositions(n, blocks, cap):
             m = factorial(n)
             for s in sizes:
                 m //= factorial(s)
@@ -74,16 +75,6 @@ def estimate_cells(spec: ComplexSpec, degree: Optional[int] = None) -> int:
         return total
     # weighted fallback: the unrestricted ordered count bounds both kinds
     return factorial(n) * comb(n - 1, blocks - 1)
-
-
-def _compositions(n: int, parts: int, cap: int):
-    if parts == 0:
-        if n == 0:
-            yield ()
-        return
-    for c in range(1, min(cap, n) + 1):
-        for rest in _compositions(n - c, parts - 1, cap):
-            yield (c,) + rest
 
 
 def _guard(spec: ComplexSpec, degrees, max_cells: int):
@@ -111,16 +102,10 @@ def image_echelon(spec: ComplexSpec, degree: int, track: bool = False) -> Echelo
     ech = _image_cache.get(key)
     if ech is not None and (ech.track or not track):
         return ech
-    ech = Echelon(track=track)
-    top = spec.top_degree()
-    if 0 <= degree < top:
-        mat = boundary_matrix(spec, degree + 1)
-        cols = mat.columns()
-        order = sorted(range(mat.cols),
-                       key=lambda j: (min(cols[j]) if cols[j] else -1, len(cols[j]), j))
-        for j in order:
-            if cols[j]:
-                ech.absorb(cols[j], tag=j)
+    if 0 <= degree < spec.top_degree():
+        ech = echelon_of_rows(boundary_matrix(spec, degree + 1).columns(), track)
+    else:
+        ech = Echelon(track=track)
     _image_cache[key] = ech
     return ech
 
@@ -148,19 +133,15 @@ class HomologyProfile:
         return "betti " + " ".join(f"b{d}={b}" for d, b in enumerate(self.betti))
 
 
-_profile_cache: Dict[tuple, HomologyProfile] = {}
-
-
 def homology_profile(spec: ComplexSpec,
                      max_cells: int = DEFAULT_MAX_CELLS) -> HomologyProfile:
-    key = (spec, )
-    if key in _profile_cache:
-        return _profile_cache[key]
+    """Betti numbers, cell counts and boundary ranks in every degree.
+
+    Not cached itself: a repeated call reads the cached image echelons.
+    """
     top = spec.top_degree()
     if top < 0:
-        prof = HomologyProfile(spec, (), (), (0,))
-        _profile_cache[key] = prof
-        return prof
+        return HomologyProfile(spec, (), (), (0,))
     _guard(spec, range(top + 1), max_cells)
     cells = tuple(len(enumerate_cells(spec, d)) for d in range(top + 1))
     ranks = [0] * (top + 2)
@@ -173,9 +154,7 @@ def homology_profile(spec: ComplexSpec,
     euler_betti = sum((-1) ** d * b for d, b in enumerate(betti))
     if euler_cells != euler_betti:
         raise CertificateError("Euler characteristic mismatch")
-    prof = HomologyProfile(spec, betti, cells, tuple(ranks))
-    _profile_cache[key] = prof
-    return prof
+    return HomologyProfile(spec, betti, cells, tuple(ranks))
 
 
 def betti_number(spec: ComplexSpec, degree: int,

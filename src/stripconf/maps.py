@@ -98,11 +98,7 @@ def spin(step: SpinStep, chain: ChainVector) -> ChainVector:
                 rev = block[:p] + (step.c, step.b) + block[p + 1:]
                 for nb, s in ((fwd, 1), (rev, flip)):
                     sym = cell[:bi] + (nb,) + cell[bi + 1:]
-                    t = out.get(sym, 0) + v * s
-                    if t == 0:
-                        out.pop(sym, None)
-                    else:
-                        out[sym] = t
+                    out[sym] = out.get(sym, 0) + v * s
                 break
         else:
             raise ValueError(f"label {step.a} missing from cell")
@@ -150,11 +146,7 @@ def include_permutohedron(chain: ChainVector, order: Optional[Sequence] = None) 
             s *= wsgn(b, arranged, spec)
             sym.append(arranged)
         sym = tuple(sym)
-        t = out.get(sym, 0) + v * s
-        if t == 0:
-            out.pop(sym, None)
-        else:
-            out[sym] = t
+        out[sym] = out.get(sym, 0) + v * s
     return ChainVector(target, chain.degree, out)
 
 
@@ -179,11 +171,7 @@ def averaged_inclusion_q(chain: ChainVector) -> ChainVector:
             for b, a in zip(cell, arranged):
                 s *= wsgn(b, a, spec)
             sym = tuple(arranged)
-            t = out.get(sym, 0) + Fraction(v) * s / denom
-            if t == 0:
-                out.pop(sym, None)
-            else:
-                out[sym] = t
+            out[sym] = out.get(sym, 0) + Fraction(v) * s / denom
     return ChainVector(target, chain.degree, out)
 
 
@@ -202,11 +190,7 @@ def project_p(chain: ChainVector) -> ChainVector:
             s *= wsgn(b, sb, spec)
             sym.append(sb)
         sym = tuple(sym)
-        t = out.get(sym, 0) + v * s
-        if t == 0:
-            out.pop(sym, None)
-        else:
-            out[sym] = t
+        out[sym] = out.get(sym, 0) + v * s
     return ChainVector(target, chain.degree, out)
 
 

@@ -2,9 +2,12 @@ import itertools
 from math import comb as binom, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stripconf.cells import (
     ComplexSpec,
+    canonical_key,
     cell_complex,
     cell_count,
     enumerate_cells,
@@ -61,6 +64,50 @@ def test_unrestricted_permutohedron_counts():
     spec = permutohedron(3, 3)
     for j in range(1, 4):
         assert len(enumerate_cells(spec, 3 - j)) == factorial(j) * stirling[(3, j)]
+
+
+def ordered_set_partitions(labels):
+    """Every sequence of disjoint nonempty blocks covering `labels`, each
+    block ascending."""
+    if not labels:
+        yield ()
+        return
+    for r in range(1, len(labels) + 1):
+        for first in itertools.combinations(labels, r):
+            rest = tuple(a for a in labels if a not in first)
+            for tail in ordered_set_partitions(rest):
+                yield (first,) + tail
+
+
+def reference_cells(spec):
+    """Cells by dimension, by brute force: every ordered set partition, each
+    block in every order (ascending only in a permutohedron), kept when no
+    block outweighs the width, sorted by canonical_key."""
+    found = {}
+    for blocks in ordered_set_partitions(spec.labels):
+        if spec.width is not None and any(
+                sum(spec.weight(a) for a in b) > spec.width for b in blocks):
+            continue
+        orders = [itertools.permutations(b) if spec.kind == "cell" else (b,) for b in blocks]
+        found.setdefault(spec.n - len(blocks), []).extend(itertools.product(*orders))
+    return {d: tuple(sorted(cells, key=canonical_key)) for d, cells in found.items()}
+
+
+@st.composite
+def small_specs(draw):
+    labels = sorted(draw(st.sets(st.integers(1, 30), max_size=6)))
+    weights = [draw(st.integers(1, 3)) for _ in labels]
+    width = draw(st.one_of(st.none(), st.integers(1, max(len(labels), 1))))
+    kind = draw(st.sampled_from((cell_complex, permutohedron)))
+    return kind(labels, width, weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_specs())
+def test_enumeration_matches_brute_force(spec):
+    want = reference_cells(spec)
+    for d in range(-1, spec.n + 1):
+        assert enumerate_cells(spec, d) == want.get(d, ())
 
 
 def test_width_prunes_heavy_blocks():

@@ -144,6 +144,14 @@ def test_to_column_is_sparse():
     assert cells[list(col)[0]] == ((1,), (2,))
 
 
+def test_boundary_matrix_leaves_the_facet_cache_alone():
+    spec = cell_complex((11, 12, 13, 14), 3)
+    before = boundary_cell.cache_info().currsize
+    for d in range(1, spec.top_degree() + 1):
+        boundary_matrix(spec, d)
+    assert boundary_cell.cache_info().currsize == before
+
+
 def test_boundary_cell_matches_boundary():
     spec = cell_complex(3, 2)
     cell = ((2,), (3, 1))

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from stripconf.cells import cell_complex, permutohedron
-from stripconf.chains import ChainVector, boundary, is_cycle
+from stripconf.cells import cell_complex, enumerate_cells, permutohedron
+from stripconf.chains import ChainVector, boundary, concat_all, is_cycle
 from stripconf.cycles import Wheel, averaged_filter_cycle, wheel_cycle
 import stripconf.homology as homology
 from stripconf.homology import (
@@ -236,6 +236,41 @@ def test_estimate_cells_counts_exactly_for_unit_weights():
     assert estimate_cells(spec, 0) == 6
     assert estimate_cells(spec, 1) == 12
     assert estimate_cells(spec) == 18
+    for n in range(6):
+        for width in [*range(1, n + 1), None]:
+            for make in (cell_complex, permutohedron):
+                spec = make(n, width)
+                for d in range(-1, n + 1):
+                    assert estimate_cells(spec, d) == len(enumerate_cells(spec, d)), \
+                        (spec.describe(), d)
+
+
+def test_unbounded_width():
+    assert homology_profile(cell_complex(3, None)).betti == (1, 3, 2)
+    assert homology_profile(permutohedron(4, None)).betti == \
+        homology_profile(permutohedron(4, 4)).betti
+
+
+def test_empty_complex_is_one_point():
+    for kind in ("cell", "perm"):
+        unit = concat_all([], 2, kind)
+        assert estimate_cells(unit.spec) == 1
+        prof = homology_profile(unit.spec)
+        assert prof.cells == (1,) and prof.betti == (1,)
+        ans = is_boundary(unit)
+        assert not ans and ans.certificate == {(): 1}
+
+
+def test_repeated_profile_builds_no_echelon(monkeypatch):
+    spec = cell_complex(4, 2)
+    first = homology_profile(spec)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a repeated profile built an echelon")
+
+    monkeypatch.setattr(homology, "echelon_of_rows", refuse)
+    monkeypatch.setattr(homology, "Echelon", refuse)
+    assert homology_profile(spec) == first
 
 
 def test_resource_refusal():

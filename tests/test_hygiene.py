@@ -7,6 +7,9 @@ read as a name, named in a string annotation, or listed in the module's
 Every top-level function and class in `src/stripconf` must be referenced
 somewhere in the package or the tests outside its own definition: as a
 name, an attribute or an imported name, or by being listed in `__all__`.
+
+The package's caches, `lru_cache`d functions and module-level `*_cache`
+dicts, are pinned by name, so adding or dropping one is done on purpose.
 """
 
 import ast
@@ -116,6 +119,65 @@ def test_no_unreferenced_top_level_definitions():
     modules = {p.stem: p.read_text() for p in MODULES}
     tests = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
     assert unused_definitions(modules, tests) == []
+
+
+CACHE_SITES = {
+    "algebra._properize_pattern",
+    "cells._min_blocks",
+    "cells.cell_index",
+    "cells.enumerate_cells",
+    "chains._splits",
+    "chains.boundary_cell",
+    "cycles._filter_cycle_cached",
+    "cycles._wheel_cycle_cached",
+    "homology._composition_count",
+    "homology._image_cache",
+}
+
+
+def _decorator_name(node: ast.expr) -> str:
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def cache_sites(source: str) -> set:
+    """Top-level functions decorated with `lru_cache` or `cache`, and
+    module-level names ending in `_cache` that are assigned."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(_decorator_name(d) in ("lru_cache", "cache") for d in node.decorator_list):
+                found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.update(t.id for t in targets
+                         if isinstance(t, ast.Name) and t.id.endswith("_cache"))
+    return found
+
+
+def test_cache_sites_are_pinned():
+    found = {f"{p.stem}.{name}" for p in MODULES for name in cache_sites(p.read_text())}
+    assert found == CACHE_SITES
+
+
+def test_cache_checker_finds_each_kind():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=8)\n"
+        "def a(): pass\n"
+        "@functools.lru_cache\n"
+        "def b(): pass\n"
+        "@cache\n"
+        "def c(): pass\n"
+        "def d():\n"
+        "    local_cache = {}\n"
+        "_e_cache = {}\n"
+        "_f_cache: dict = {}\n"
+        "g = {}\n"
+    )
+    assert cache_sites(source) == {"a", "b", "c", "_e_cache", "_f_cache"}
 
 
 def test_definition_checker_flags_unreferenced_and_honours_all():
