@@ -17,9 +17,10 @@ from .cycles import (AvgFilter, Filter, FilterSpec, GeneratorWord, Wheel,
 from .maps import (averaged_inclusion_q, include_permutohedron, project_p,
                    spin, spin_sigma)
 from .homology import (DEFAULT_MAX_CELLS, BoundaryAnswer, CertificateError,
-                       ExpressResult, HomologyProfile, ResourceRefusal,
-                       betti_number, decomposition_check, estimate_cells,
-                       express, homology_profile, is_boundary)
+                       ExpressResult, HomologyProfile, IsotypicProfile,
+                       ResourceRefusal, betti_number, decomposition_check,
+                       estimate_cells, express, homology_profile,
+                       is_boundary, isotypic_profile)
 from .basis import (AM, AMW, BasisReport, basis_change, basis_cycle,
                     enumerate_basis, verify_basis)
 from .algebra import (RelationInstance, StabilityParams, WordCombination, act,
@@ -42,8 +43,9 @@ __all__ = [
     "spin", "spin_sigma", "include_permutohedron", "averaged_inclusion_q",
     "project_p",
     "DEFAULT_MAX_CELLS", "ResourceRefusal", "CertificateError",
-    "HomologyProfile", "BoundaryAnswer",
+    "HomologyProfile", "IsotypicProfile", "BoundaryAnswer",
     "ExpressResult", "estimate_cells", "homology_profile", "betti_number",
+    "isotypic_profile",
     "is_boundary", "express", "decomposition_check",
     "AM", "AMW", "BasisReport", "enumerate_basis", "basis_cycle",
     "verify_basis", "basis_change",

@@ -199,8 +199,9 @@ def verify_basis(labels, width: int, degree: int, style: str = AMW) -> BasisRepo
     labels = tuple(sorted(labels))
     words = enumerate_basis(labels, width, degree, style)
     spec = cell_complex(labels, width)
-    b = betti_number(spec, degree)
+    # the echelon first: betti_number then reads its rank from the cache
     ech = image_echelon(spec, degree)
+    b = betti_number(spec, degree)
     index = cell_index(spec, degree)
     small = Echelon()
     independent = True

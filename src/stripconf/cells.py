@@ -16,8 +16,10 @@ labels, e.g. ((2, 4), (3, 5, 1)) for the symbol `2 4|3 5 1`.
 
 The cells of one dimension are listed in canonical order: block sizes,
 then flattened labels.  That is the order of a loop over compositions of
-n (the block sizes) and, inside it, over permutations of the labels, so
-enumeration needs no sort.  The empty label set has one 0-cell, ().
+n (the block sizes) and, inside it, over permutations of the labels
+(ordered complexes) or over lex-ordered combinations filling one block
+after another (permutohedra), so enumeration needs no sort.  The empty
+label set has one 0-cell, ().
 
 A spec carries its label -> weight dict (`weight_of`), built once when the
 spec is made, so weights are looked up without hashing the spec.  Signs
@@ -235,37 +237,52 @@ def canonical_key(cell: CellSym):
     return tuple(map(len, cell)), tuple(itertools.chain.from_iterable(cell))
 
 
+def _ascending_fills(labels: tuple, sizes: tuple) -> list:
+    """Every arrangement of `labels` into ascending blocks of these sizes,
+    in canonical order: each block is a lex-ordered combination of the
+    labels still free."""
+    if not sizes:
+        return [()]
+    fills = [((), labels)]
+    for size in sizes[:-1]:
+        # the complements of the lex-ordered size-k combinations of a sorted
+        # tuple are its (len - k)-combinations in reverse lex order
+        fills = [(cell + (block,), rest) for cell, free in fills
+                 for block, rest in zip(itertools.combinations(free, size), reversed(
+                     list(itertools.combinations(free, len(free) - size))))]
+    # the last block takes every label left, already ascending
+    return [cell + (free,) for cell, free in fills]
+
+
 @lru_cache(maxsize=512)
 def enumerate_cells(spec: ComplexSpec, dim: int) -> tuple:
     """Admissible cells of topological dimension `dim` in canonical order.
 
     The loops run in that order: compositions of n into n - dim block sizes
-    in lex order, and for each the permutations of the sorted labels in lex
-    order, cut into blocks of those sizes.  A cut is skipped when a block
-    weighs more than the width, or, in a permutohedron, when a block is not
-    ascending.  The cells therefore come out sorted and distinct.  The empty
-    complex has the one 0-cell ().
+    in lex order, and for each the arrangements of the labels into blocks
+    of those sizes in lex order of their flattened labels.  An ordered
+    complex cuts every permutation of the sorted labels into blocks; a
+    permutohedron fills each block with a combination of the labels still
+    free.  A cell is skipped when a block weighs more than the width.  The
+    cells therefore come out sorted and distinct.  The empty complex has
+    the one 0-cell ().
     """
     n, width, weight_of = spec.n, spec.width, spec.weight_of
-    ascending = spec.kind == PERMUTOHEDRON
     # a unit-weight block weighs its size, which the composition already caps
     weighed = width is not None and spec.total_weight() > n
     cells = []
     for sizes in compositions(n, n - dim, n if width is None else width):
-        ends = list(itertools.accumulate(sizes))
-        cuts = list(zip([0] + ends, ends))
-        # positions i where i and i + 1 share a block: a permutohedron cell
-        # has no descent there
-        inner = [i for s, e in cuts for i in range(s, e - 1)] if ascending else []
-        for perm in itertools.permutations(spec.labels):
-            for i in inner:
-                if perm[i] > perm[i + 1]:
-                    break
-            else:
-                cell = tuple([perm[s:e] for s, e in cuts])
-                if not (weighed and any(sum(map(weight_of.__getitem__, b)) > width
-                                        for b in cell)):
-                    cells.append(cell)
+        if spec.kind == PERMUTOHEDRON:
+            fills = _ascending_fills(spec.labels, sizes)
+        else:
+            ends = list(itertools.accumulate(sizes))
+            cuts = list(zip([0] + ends, ends))
+            fills = (tuple([perm[s:e] for s, e in cuts])
+                     for perm in itertools.permutations(spec.labels))
+        if weighed:
+            fills = [cell for cell in fills
+                     if all(sum(map(weight_of.__getitem__, b)) <= width for b in cell)]
+        cells.extend(fills)
     return tuple(cells)
 
 
@@ -335,7 +352,9 @@ def wheel_decomposition(perm: Sequence, weight_of=None) -> WheelDecomposition:
     wheels.append(perm[start:])
     weights = tuple(sum(weight_of(a) for a in w) for w in wheels)
     axles = tuple(w[0] for w in wheels)
-    assert axles == tuple(sorted(axles))
+    if axles != tuple(sorted(axles)):
+        raise ValueError(f"the axles {axles} of {perm} do not increase: "
+                         "its entries are not totally ordered")
     return WheelDecomposition(tuple(wheels), weights, axles)
 
 

@@ -25,7 +25,7 @@ from .cells import cell_complex, parse_weighted_set, permutohedron
 from .chains import verify_boundary_squared
 from .cycles import Wheel, WordSyntaxError, parse_word
 from .homology import (DEFAULT_MAX_CELLS, ResourceRefusal, decomposition_check,
-                       homology_profile)
+                       homology_profile, isotypic_profile)
 from .basis import AM, AMW, verify_basis
 
 
@@ -76,7 +76,8 @@ def _emit(args, payload: dict, table_lines):
 
 def _cmd_betti(args) -> int:
     spec = _spec_from_args(args)
-    prof = homology_profile(spec, max_cells=args.max_cells)
+    iso = isotypic_profile(spec, max_cells=args.max_cells) if args.irreps else None
+    prof = iso.profile if iso else homology_profile(spec, max_cells=args.max_cells)
     payload = {
         "kind": spec.kind,
         "labels": list(spec.labels),
@@ -86,15 +87,23 @@ def _cmd_betti(args) -> int:
         "cells": list(prof.cells),
     }
     lines = [f"{spec.describe()}"]
+    degrees = range(len(prof.betti))
     if args.degree is not None:
         k = args.degree
         b = prof.betti[k] if 0 <= k < len(prof.betti) else 0
         payload["degree"] = k
         payload["betti_k"] = b
         lines.append(f"b{k} = {b}")
+        degrees = [k] if k in degrees else []
     else:
         lines.append(str(prof))
         lines.append("cells " + " ".join(f"c{d}={c}" for d, c in enumerate(prof.cells)))
+    if iso:
+        payload["irreps"] = [
+            {"degree": k, "terms": [{"shape": list(shape), "dim": f, "multiplicity": m}
+                                    for shape, f, m in iso.terms(k)]}
+            for k in degrees]
+        lines.extend(iso.line(k) for k in degrees)
     _emit(args, payload, lines)
     return 0
 
@@ -244,6 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", help="weighted labels, e.g. '1 2:2 3'")
     p.add_argument("--kind", choices=("cell", "perm"), default="cell")
     p.add_argument("--degree", type=int, help="report one degree only")
+    p.add_argument("--irreps", action="store_true",
+                   help="also split each homology group into irreducibles of "
+                        "the symmetric group (unit-weight --kind cell only)")
     p.set_defaults(run=_cmd_betti)
 
     p = sub.add_parser("verify", help="run a verification suite")

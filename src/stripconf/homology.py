@@ -1,11 +1,25 @@
 """Rational homology of the strip complexes.
 
 Betti numbers come from exact ranks of the boundary matrices:
-betti_k = #cells_k - rank d_k - rank d_{k+1}.  The echelon of the image of
-d_{k+1} is cached per (complex, degree), so repeated membership queries
-(is_boundary, express) in the same degree reuse one elimination.  A tracked
-echelon has the same rows as a plain one, so it serves both kinds of query
-and replaces a plain one when a witness is first asked for.
+betti_k = #cells_k - rank d_k - rank d_{k+1}.  A rank is read from the
+first of:
+
+* the cell-level echelon of the image of d_k, when one is cached;
+* for unit-weight ordered complexes (any label set, any width, None
+  included): the isotypic blocks of `equivariant`, which use the free S_n
+  action to rank one small block per irreducible instead of the
+  cell-level matrix, and count cells without enumerating them.
+  `isotypic_profile` reports the multiplicity of every irreducible in
+  every degree from the same blocks;
+* a cell-level echelon, built and cached.  Weighted complexes and
+  permutohedra always take this path.
+
+The echelon of the image of d_{k+1} is cached per (complex, degree), so
+repeated membership queries (is_boundary, express) in the same degree
+reuse one elimination.  Witnesses, certificates and `express` always work
+on cells.  A tracked echelon has the same rows as a plain one, so it
+serves both kinds of query and replaces a plain one when a witness is
+first asked for.
 
 Every witness and certificate is checked before it is returned; a failed
 check raises CertificateError, which `python -O` does not strip.
@@ -27,6 +41,7 @@ from .cells import (ORDERED, ComplexSpec, cell_complex,
                     cell_index, compositions, enumerate_cells, permutohedron,
                     wheel_decomposition)
 from .chains import ChainVector, boundary, boundary_matrix, is_cycle
+from .equivariant import block_ranks, orbits
 from .linalg import Echelon, echelon_of_rows
 
 DEFAULT_MAX_CELLS = 5_000_000
@@ -110,12 +125,57 @@ def image_echelon(spec: ComplexSpec, degree: int, track: bool = False) -> Echelo
     return ech
 
 
+def _isotypic(spec: ComplexSpec) -> bool:
+    """Whether the ranks of `spec` can come from the isotypic blocks."""
+    return spec.kind == ORDERED and all(w == 1 for w in spec.weights)
+
+
+def _ranks(spec: ComplexSpec, degrees) -> dict:
+    """{k: rank d_k} for degrees 1 <= k <= top.
+
+    A cached cell-level echelon gives its rank; otherwise unit-weight
+    ordered complexes are ranked per irreducible, all the remaining degrees
+    together, and every other complex by a cell-level echelon.
+    """
+    ranks, blocks = {}, []
+    for k in degrees:
+        ech = _image_cache.get((spec, k - 1))
+        if ech is not None:
+            ranks[k] = ech.rank
+        elif _isotypic(spec):
+            blocks.append(k)
+        else:
+            ranks[k] = image_echelon(spec, k - 1).rank
+    for _, f, block in (block_ranks(spec, blocks) if blocks else ()):
+        for k in blocks:
+            ranks[k] = ranks.get(k, 0) + f * block[k]
+    return ranks
+
+
 def boundary_rank(spec: ComplexSpec, degree: int) -> int:
     """Rank of d_degree : C_degree -> C_{degree-1}."""
-    top = spec.top_degree()
-    if degree < 1 or degree > top:
+    if degree < 1 or degree > spec.top_degree():
         return 0
-    return image_echelon(spec, degree - 1).rank
+    return _ranks(spec, [degree])[degree]
+
+
+def _cell_count(spec: ComplexSpec, degree: int) -> int:
+    if all(w == 1 for w in spec.weights):
+        return estimate_cells(spec, degree)  # exact for unit weights
+    return len(enumerate_cells(spec, degree))
+
+
+def _betti(cells: Sequence[int], ranks: Sequence[int]) -> tuple:
+    """cells[d] - ranks[d] - ranks[d+1] in every degree, checked: no entry
+    is negative and the Euler characteristics agree."""
+    betti = tuple(c - ranks[d] - ranks[d + 1] for d, c in enumerate(cells))
+    if any(b < 0 for b in betti):
+        raise CertificateError(f"negative Betti number in {betti}")
+    euler_cells = sum((-1) ** d * c for d, c in enumerate(cells))
+    euler_betti = sum((-1) ** d * b for d, b in enumerate(betti))
+    if euler_cells != euler_betti:
+        raise CertificateError("Euler characteristic mismatch")
+    return betti
 
 
 # ---------------------------------------------------------------------------
@@ -137,24 +197,17 @@ def homology_profile(spec: ComplexSpec,
                      max_cells: int = DEFAULT_MAX_CELLS) -> HomologyProfile:
     """Betti numbers, cell counts and boundary ranks in every degree.
 
-    Not cached itself: a repeated call reads the cached image echelons.
+    Not cached itself: a repeated call reads the cached image echelons,
+    or ranks the isotypic blocks again.
     """
     top = spec.top_degree()
     if top < 0:
         return HomologyProfile(spec, (), (), (0,))
     _guard(spec, range(top + 1), max_cells)
-    cells = tuple(len(enumerate_cells(spec, d)) for d in range(top + 1))
-    ranks = [0] * (top + 2)
-    for d in range(1, top + 1):
-        ranks[d] = boundary_rank(spec, d)
-    betti = tuple(cells[d] - ranks[d] - ranks[d + 1] for d in range(top + 1))
-    if any(b < 0 for b in betti):
-        raise CertificateError(f"negative Betti number in {betti}")
-    euler_cells = sum((-1) ** d * c for d, c in enumerate(cells))
-    euler_betti = sum((-1) ** d * b for d, b in enumerate(betti))
-    if euler_cells != euler_betti:
-        raise CertificateError("Euler characteristic mismatch")
-    return HomologyProfile(spec, betti, cells, tuple(ranks))
+    cells = tuple(_cell_count(spec, d) for d in range(top + 1))
+    found = _ranks(spec, range(1, top + 1))
+    ranks = (0, *(found[d] for d in range(1, top + 1)), 0)
+    return HomologyProfile(spec, _betti(cells, ranks), cells, ranks)
 
 
 def betti_number(spec: ComplexSpec, degree: int,
@@ -165,9 +218,60 @@ def betti_number(spec: ComplexSpec, degree: int,
         return 0
     _guard(spec, [d for d in (degree - 1, degree, degree + 1) if 0 <= d <= top],
            max_cells)
-    cells_k = len(enumerate_cells(spec, degree))
-    return (cells_k - boundary_rank(spec, degree)
-            - boundary_rank(spec, degree + 1))
+    ranks = _ranks(spec, [d for d in (degree, degree + 1) if 1 <= d <= top])
+    return (_cell_count(spec, degree) - ranks.get(degree, 0)
+            - ranks.get(degree + 1, 0))
+
+
+@dataclass(frozen=True)
+class IsotypicProfile:
+    profile: HomologyProfile
+    shapes: tuple          # the partitions of n, (n) first
+    dims: tuple            # dimension of each irreducible V(shape)
+    multiplicities: tuple  # multiplicities[k][i]: copies of V(shapes[i]) in H_k
+
+    def terms(self, k: int) -> list:
+        """(shape, dim, multiplicity) of every irreducible occurring in H_k."""
+        return [(shape, f, m) for shape, f, m
+                in zip(self.shapes, self.dims, self.multiplicities[k]) if m]
+
+    def line(self, k: int) -> str:
+        """H_k as a sum of irreducibles, e.g. `H1 = V(4) + 2 V(3,1)`."""
+        terms = [("" if m == 1 else f"{m} ") + "V(" + ",".join(map(str, shape)) + ")"
+                 for shape, _, m in self.terms(k)]
+        return f"H{k} = " + (" + ".join(terms) or "0")
+
+    def __str__(self):
+        return "\n".join(self.line(k) for k in range(len(self.multiplicities)))
+
+
+def isotypic_profile(spec: ComplexSpec,
+                     max_cells: int = DEFAULT_MAX_CELLS) -> IsotypicProfile:
+    """Multiplicity of every irreducible of S_n in every homology group.
+
+    Only for unit-weight ordered complexes, on which S_n acts freely by
+    relabeling; anything else raises ValueError.  The multiplicity of
+    V(shape) in H_k is m_k f - rank R(d_k) - rank R(d_{k+1}), with m_k
+    orbits of k-cells and f = dim V(shape), checked like Betti numbers.
+    """
+    if not _isotypic(spec):
+        raise ValueError("isotypic profiles need unit weights and ordered blocks, "
+                         f"not {spec.describe()}")
+    top = spec.top_degree()
+    _guard(spec, range(top + 1), max_cells)
+    counts = [len(orbits(spec, k)) for k in range(top + 1)]
+    shapes, dims, columns = [], [], []
+    ranks = [0] * (top + 2)
+    for shape, f, block in block_ranks(spec, range(1, top + 1)):
+        shapes.append(shape)
+        dims.append(f)
+        columns.append(_betti([m * f for m in counts],
+                              (0, *(block[k] for k in range(1, top + 1)), 0)))
+        for k in range(1, top + 1):
+            ranks[k] += f * block[k]
+    cells = tuple(m * factorial(spec.n) for m in counts)
+    profile = HomologyProfile(spec, _betti(cells, ranks), cells, tuple(ranks))
+    return IsotypicProfile(profile, tuple(shapes), tuple(dims), tuple(zip(*columns)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 from math import comb as binom, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -183,6 +188,31 @@ def test_wheel_decomposition_segments():
 def test_wheel_decomposition_weighted():
     dec = wheel_decomposition((2, 1), lambda a: {1: 2, 2: 1}[a])
     assert dec.weights == (3,)
+
+
+def test_wheel_decomposition_rejects_entries_out_of_order_under_python_O():
+    # entries whose comparisons contradict each other give axles that do
+    # not increase; the check must survive the stripping of asserts
+    script = textwrap.dedent("""
+        import sys
+        from stripconf.cells import wheel_decomposition
+
+        class Loose:
+            def __lt__(self, other):
+                return True
+            __gt__ = __lt__
+
+        try:
+            wheel_decomposition((Loose(), Loose()))
+        except ValueError as e:
+            print("ValueError", "totally ordered" in str(e), sys.flags.optimize)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["ValueError", "True", "1"]
 
 
 def test_s_of_sigma_orbit():

@@ -61,6 +61,35 @@ def test_betti_permutohedron(capsys):
     assert json.loads(out)["betti"] == [1, 1]
 
 
+def test_betti_irreps_json(capsys):
+    code, out, _ = run(capsys, "betti", "--n", "4", "--w", "3", "--irreps",
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["betti"] == [1, 6, 29]
+    h1 = payload["irreps"][1]
+    assert h1["degree"] == 1
+    assert [(t["shape"], t["dim"], t["multiplicity"]) for t in h1["terms"]] == \
+        [([4], 1, 1), ([3, 1], 3, 1), ([2, 2], 2, 1)]
+    for k, group in enumerate(payload["irreps"]):
+        assert sum(t["dim"] * t["multiplicity"] for t in group["terms"]) == payload["betti"][k]
+
+
+def test_betti_irreps_one_degree(capsys):
+    code, out, _ = run(capsys, "betti", "--n", "4", "--w", "3", "--irreps",
+                       "--degree", "1")
+    assert code == 0
+    assert out.splitlines()[1:] == ["b1 = 6", "H1 = V(4) + V(3,1) + V(2,2)"]
+
+
+@pytest.mark.parametrize("argv", [["--kind", "perm", "--n", "3"],
+                                  ["--labels", "1 2:2 3"]])
+def test_betti_irreps_refused_off_unit_weight_cells(capsys, argv):
+    code, out, err = run(capsys, "betti", *argv, "--w", "3", "--irreps")
+    assert code == 2
+    assert "unit weights and ordered blocks" in err and not out
+
+
 def test_betti_needs_a_label_set(capsys):
     code, _, err = run(capsys, "betti", "--w", "2")
     assert code == 2
@@ -231,7 +260,7 @@ def readme_examples():
 
 
 def test_readme_has_examples():
-    assert len(readme_examples()) == 10
+    assert len(readme_examples()) == 11
 
 
 @pytest.mark.parametrize("argv, expected", readme_examples(),

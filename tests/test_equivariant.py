@@ -1,0 +1,159 @@
+"""The isotypic path: seminormal generators, block ranks against the
+cell-level echelons, and the multiplicities of irreducibles."""
+
+from math import factorial
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import stripconf.homology as homology
+from stripconf.cells import cell_complex, permutohedron
+from stripconf.chains import boundary_matrix
+from stripconf.equivariant import Irrep, block_ranks, partitions, tableaux
+from stripconf.homology import (betti_number, boundary_rank, homology_profile,
+                                image_echelon, isotypic_profile)
+from stripconf.linalg import echelon_of_rows
+
+from test_acceptance import FROZEN_BETTI as ACCEPTANCE_BETTI
+from test_homology import FROZEN_BETTI as HOMOLOGY_BETTI
+
+
+def _product(a, b):
+    out = []
+    for row in a:
+        acc = {}
+        for s, v in row.items():
+            for t, x in b[s].items():
+                acc[t] = acc.get(t, 0) + v * x
+        out.append({t: x for t, x in acc.items() if x})
+    return out
+
+
+def _identity(f):
+    return [{a: 1} for a in range(f)]
+
+
+def _swap(n, i):
+    p = list(range(n))
+    p[i], p[i + 1] = p[i + 1], p[i]
+    return tuple(p)
+
+
+shapes = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.sampled_from(list(partitions(n))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes)
+def test_seminormal_generators_satisfy_the_coxeter_relations(shape):
+    n, irrep = sum(shape), Irrep(shape)
+    one = _identity(irrep.dim)
+    s = [irrep.matrix(_swap(n, i)) for i in range(n - 1)]
+    for i in range(n - 1):
+        assert _product(s[i], s[i]) == one
+        if i + 2 < n:
+            braid = _product(s[i], s[i + 1])
+            assert _product(_product(braid, braid), braid) == one
+        for j in range(i + 2, n - 1):
+            assert _product(s[i], s[j]) == _product(s[j], s[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(lambda n: st.tuples(
+    st.sampled_from(list(partitions(n))), st.permutations(range(n)),
+    st.permutations(range(n)))))
+def test_matrix_is_a_homomorphism(case):
+    # rho(g o h) = rho(g) rho(h), with (g o h)(j) = g(h(j))
+    shape, g, h = case
+    irrep = Irrep(shape)
+    gh = tuple(g[h[j]] for j in range(len(g)))
+    assert irrep.matrix(gh) == _product(irrep.matrix(tuple(g)), irrep.matrix(tuple(h)))
+
+
+def test_dimensions_square_to_the_group_order():
+    for n in range(8):
+        assert sum(len(tableaux(shape)) ** 2 for shape in partitions(n)) == factorial(n)
+    assert [len(tableaux(s)) for s in partitions(4)] == [1, 3, 2, 3, 1]
+    assert next(iter(partitions(5))) == (5,)
+
+
+def _specs():
+    specs = [cell_complex(len(w), width) for w, width in HOMOLOGY_BETTI]
+    specs += [cell_complex(n, width) for n, width in ACCEPTANCE_BETTI]
+    specs += [cell_complex(6, 2), cell_complex((2, 5, 7, 11), 2),
+              cell_complex((2, 5, 7, 11), 3), cell_complex((2, 5, 7, 11), None)]
+    specs += [cell_complex(n, None) for n in (2, 3, 4, 5)]
+    return specs
+
+
+@pytest.mark.parametrize("spec", _specs(), ids=lambda s: s.describe())
+def test_block_ranks_match_cell_level_echelons(spec):
+    top = spec.top_degree()
+    blocks = block_ranks(spec, range(1, top + 1))
+    for k in range(1, top + 1):
+        cell_level = echelon_of_rows(boundary_matrix(spec, k).columns()).rank
+        assert sum(f * ranks[k] for _, f, ranks in blocks) == cell_level, k
+
+
+def test_unit_weight_frozen_tables_on_the_isotypic_path():
+    assert all(all(w == 1 for w in weights) for weights, _ in HOMOLOGY_BETTI)
+    tables = [((n, width), betti) for (n, width), betti in ACCEPTANCE_BETTI.items()]
+    tables += [((len(w), width), betti) for (w, width), betti in HOMOLOGY_BETTI.items()]
+    for (n, width), betti in tables:
+        spec = cell_complex((2, 5, 7, 11, 13)[:n], width)
+        assert homology_profile(spec).betti == betti
+        assert isotypic_profile(spec).profile.betti == betti
+        assert tuple(betti_number(spec, k) for k in range(len(betti))) == betti
+
+
+def test_profile_ranks_without_cells(monkeypatch):
+    spec = cell_complex((3, 4, 8, 9, 10), 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the isotypic path touched cells")
+
+    monkeypatch.setattr(homology, "enumerate_cells", refuse)
+    monkeypatch.setattr(homology, "boundary_matrix", refuse)
+    prof = homology_profile(spec)
+    assert prof.betti == (1, 10, 169, 40)
+    assert prof.cells == (120, 480, 720, 240)
+    assert not any(key[0] == spec for key in homology._image_cache)
+
+
+def test_a_cached_echelon_gives_its_rank(monkeypatch):
+    spec = cell_complex(4, 3)
+    ech = image_echelon(spec, 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ranked blocks despite a cached echelon")
+
+    monkeypatch.setattr(homology, "block_ranks", refuse)
+    assert boundary_rank(spec, 2) == ech.rank == 43
+    assert betti_number(spec, 2) == 29
+
+
+def test_weighted_and_permutohedra_stay_cell_level():
+    for spec in (cell_complex((1, 2, 3), 3, (1, 2, 1)), permutohedron(3, 2)):
+        with pytest.raises(ValueError, match="unit weights and ordered blocks"):
+            isotypic_profile(spec)
+        homology._image_cache.pop((spec, 0), None)
+        boundary_rank(spec, 1)
+        assert (spec, 0) in homology._image_cache
+
+
+def test_multiplicities_sum_to_betti_numbers():
+    iso = isotypic_profile(cell_complex(5, 3))
+    assert iso.profile.betti == (1, 10, 169, 40)
+    for k, mults in enumerate(iso.multiplicities):
+        assert sum(f * m for f, m in zip(iso.dims, mults)) == iso.profile.betti[k]
+    assert iso.shapes[0] == (5,) and iso.dims[0] == 1
+    assert str(iso).splitlines()[:2] == ["H0 = V(5)", "H1 = V(5) + V(4,1) + V(3,2)"]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_first_homology_at_width_three_is_stable(n):
+    # H_1 = V(n) + V(n-1,1) + V(n-2,2): first-order representation stability
+    iso = isotypic_profile(cell_complex(n, 3))
+    assert [(shape, m) for shape, _, m in iso.terms(1)] == \
+        [((n,), 1), ((n - 1, 1), 1), ((n - 2, 2), 1)]

@@ -57,6 +57,11 @@ def test_unrestricted_width_gives_classical_configuration_ranks():
         assert homology_profile(spec).betti == tuple(coeffs)
 
 
+def test_six_disks_width_three_frozen_profile():
+    # frozen from the cell-level path; the isotypic path reaches it in tier-1 time
+    assert homology_profile(cell_complex(6, 3)).betti == (1, 15, 714, 780, 80)
+
+
 def test_betti_number_matches_profile():
     spec = cell_complex((1, 2, 3), 3)
     prof = homology_profile(spec)
@@ -271,6 +276,20 @@ def test_repeated_profile_builds_no_echelon(monkeypatch):
     monkeypatch.setattr(homology, "echelon_of_rows", refuse)
     monkeypatch.setattr(homology, "Echelon", refuse)
     assert homology_profile(spec) == first
+
+
+def test_repeated_cell_level_profile_builds_no_echelon(monkeypatch):
+    # unit-weight ordered complexes rank isotypic blocks again; permutohedra
+    # and weighted complexes are ranked by cached cell-level echelons
+    specs = (permutohedron(4, 2), cell_complex((1, 2, 3), 3, (1, 2, 1)))
+    first = [homology_profile(spec) for spec in specs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a repeated profile built an echelon")
+
+    monkeypatch.setattr(homology, "echelon_of_rows", refuse)
+    monkeypatch.setattr(homology, "Echelon", refuse)
+    assert [homology_profile(spec) for spec in specs] == first
 
 
 def test_resource_refusal():
