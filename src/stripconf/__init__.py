@@ -11,7 +11,7 @@ from .cells import (ORDERED, PERMUTOHEDRON, ComplexSpec, cell_complex,
                     wheel_decomposition)
 from .chains import (ChainVector, boundary, boundary_matrix, concat, is_cycle,
                      verify_boundary_squared)
-from .cycles import (AvgFilter, Filter, FilterSpec, GeneratorWord, Wheel,
+from .cycles import (AvgFilter, Filter, GeneratorWord, Wheel,
                      WordSyntaxError, averaged_filter_cycle, filter_cycle,
                      format_word, parse_word, wheel_cycle, word_cycle)
 from .maps import (averaged_inclusion_q, include_permutohedron, project_p,
@@ -37,7 +37,7 @@ __all__ = [
     "parse_cell", "format_cell", "parse_weighted_set", "wheel_decomposition",
     "ChainVector", "boundary", "boundary_matrix", "concat", "is_cycle",
     "verify_boundary_squared",
-    "Wheel", "Filter", "AvgFilter", "FilterSpec", "GeneratorWord",
+    "Wheel", "Filter", "AvgFilter", "GeneratorWord",
     "WordSyntaxError", "parse_word", "format_word", "wheel_cycle",
     "filter_cycle", "averaged_filter_cycle", "word_cycle",
     "spin", "spin_sigma", "include_permutohedron", "averaged_inclusion_q",

@@ -23,8 +23,8 @@ R5  for wheels W_1..W_{m+1} whose every (m-1)-fold size sum fits, the
 reduce() rewrites any combination of generator words into the normal form
 of the averaged-filter basis, using R2 on inverted wheel pairs and R5 on
 a wheel stuck left of a filter it does not outrank.  Termination is
-guarded by an explicit lexicographic measure, asserted to drop at every
-step.
+guarded by an explicit lexicographic measure, checked to drop at every
+step; a failed check raises CertificateError.
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .cells import cell_complex, cell_index, wsgn_pairs
 from .chains import ChainVector, boundary, concat, is_cycle
 from .cycles import (AvgFilter, Filter, GeneratorWord, Leaf, Node, Wheel,
-                     WheelTree, _arranged_faces, _as_tree, _expand_word_blocks,
-                     _filter_chain, _segment_chain, averaged_filter_cycle,
+                     WheelTree, _as_tree, _face_chain, _filter_chain,
+                     _segment_chain, admissible_sizes, averaged_filter_cycle,
                      comb, tree_labels, wheel_cycle, word_cycle)
+from .homology import CertificateError
 from .linalg import solve_exact
 
 
@@ -98,7 +99,8 @@ class WordCombination:
         for w, c in self.items():
             ch = word_cycle(w, width).scale(c)
             result = ch if result is None else result + ch
-        assert result is not None, "cannot build the chain of an empty combination"
+        if result is None:
+            raise ValueError("cannot build the chain of an empty combination")
         return result
 
 
@@ -129,7 +131,8 @@ def _properize_pattern(tree: WheelTree) -> tuple:
     propers = [(top,) + p for p in itertools.permutations(rest)]
     rows = [wheel_cycle(Wheel(p), width).to_column(index) for p in propers]
     sol = solve_exact(rows, target)
-    assert sol is not None, "a wheel tree failed to properize"
+    if sol is None:
+        raise CertificateError(f"the wheel tree {tree} failed to properize")
     return tuple((propers[i], c) for i, c in sorted(sol.items()))
 
 
@@ -237,16 +240,6 @@ def r1_instance(wheel_or_tree, width: int) -> RelationInstance:
                             {Wheel(l): c for l, c in combo.items()})
 
 
-def _one_block_product(trees: Sequence[WheelTree], spec) -> ChainVector:
-    """All wheels merged into a single block, in the given order."""
-    segs = [_segment_chain(t) for t in trees]
-    out: dict = {}
-    _expand_word_blocks((tuple(range(len(segs))),), Fraction(1),
-                        segs, out)
-    n = sum(len(tree_labels(t)) for t in trees)
-    return ChainVector(spec, n - 1, out, validate=True)
-
-
 def r2_instance(w1: Wheel, w2: Wheel, width: int) -> RelationInstance:
     """W1|W2 = (-1)^{(n1-1)(n2-1)} W2|W1 when the sizes fit together."""
     n1, n2 = w1.size, w2.size
@@ -256,11 +249,12 @@ def r2_instance(w1: Wheel, w2: Wheel, width: int) -> RelationInstance:
     lhs = concat(wheel_cycle(w1, width), wheel_cycle(w2, width))
     rhs = concat(wheel_cycle(w2, width), wheel_cycle(w1, width)).scale(sign)
     diff = lhs - rhs
-    labels = tuple(sorted(w1.labels + w2.labels))
-    spec = cell_complex(labels, width)
-    witness = _one_block_product([w1.tree(), w2.tree()], spec)
-    if n1 % 2:
-        witness = witness.scale(-1)
+    # the witness merges the two wheels into one block, W1 first
+    front = Fraction(-1 if n1 % 2 else 1)
+    merged = {(s + t,): front * c * d for s, c in _segment_chain(w1.tree()).items()
+              for t, d in _segment_chain(w2.tree()).items()}
+    witness = ChainVector(cell_complex(tuple(sorted(w1.labels + w2.labels)), width),
+                          n1 + n2 - 1, merged, validate=True)
     return RelationInstance("R2", {"w1": w1, "w2": w2, "width": width},
                             diff, witness)
 
@@ -289,9 +283,9 @@ def r4_instance(wheels: Sequence, slot: int, width: int) -> RelationInstance:
 
 
 def _r5_admissible(sizes: Sequence[int], width: int) -> bool:
-    m1 = len(sizes)
-    return all(sum(s) <= width
-               for s in itertools.combinations(sizes, m1 - 2))
+    """Whether the filter on all but any one of these wheels is admissible."""
+    sizes = tuple(sizes)
+    return all(admissible_sizes(sizes[:k] + sizes[k + 1:], width) for k in range(len(sizes)))
 
 
 def r5_closed_form(sizes: Sequence[int]) -> Tuple[tuple, tuple]:
@@ -323,11 +317,6 @@ def r5_closed_form(sizes: Sequence[int]) -> Tuple[tuple, tuple]:
     return tuple(left), tuple(right)
 
 
-def _raw_averaged_filter(wheels: Sequence[Wheel], width: int) -> ChainVector:
-    """The un-normalized averaged filter chain, any arity including two."""
-    return _filter_chain(tuple(w.tree() for w in wheels), width, True)
-
-
 def r5_instance(wheels: Sequence[Wheel], width: int) -> RelationInstance:
     """The filter Leibniz relation on m+1 wheels, witnessed explicitly.
 
@@ -345,23 +334,14 @@ def r5_instance(wheels: Sequence[Wheel], width: int) -> RelationInstance:
     if not _r5_admissible(sizes, width):
         raise ValueError(f"wheel sizes {sizes} fail the (m-1)-fold sum bound "
                          f"at width {width}")
-    trees = [w.tree() for w in wheels]
-    segments = [_segment_chain(t) for t in trees]
-    labels = tuple(sorted(a for w in wheels for a in w.labels))
-    spec = cell_complex(labels, width)
-    total = sum(sizes)
-    mid: dict = {}
-    for blocks, coeff in _arranged_faces(sizes, True, min_block=2):
-        _expand_word_blocks(blocks, coeff, segments, mid)
-    witness = ChainVector(spec, total - 2, {c: v for c, v in mid.items() if v},
-                          validate=True)
+    witness = _face_chain(wheels, width, True, min_block=2)
     left, right = r5_closed_form(sizes)
-    combination = ChainVector.zero(spec, total - 3)
+    combination = ChainVector.zero(witness.spec, witness.degree - 1)
     coeffs = {}
     for k in range(m1):
         rest = wheels[:k] + wheels[k + 1:]
         wk = wheel_cycle(wheels[k], width)
-        afk = _raw_averaged_filter(rest, width)
+        afk = _filter_chain(rest, width, True)  # raw, also on two wheels
         combination = (combination + concat(wk, afk).scale(left[k])
                        + concat(afk, wk).scale(right[k]))
         coeffs[("left", k)] = Fraction(left[k])
@@ -467,11 +447,9 @@ def _first_violation(word: GeneratorWord, width: int) -> Optional[tuple]:
     return None
 
 
-def _rewrite(word: GeneratorWord, coeff: Fraction, width: int,
+def _rewrite(word: GeneratorWord, coeff: Fraction, width: int, spot: tuple,
              ) -> List[Tuple[GeneratorWord, Fraction]]:
-    """One rewriting step on the leftmost violation; asserts the measure drop."""
-    spot = _first_violation(word, width)
-    assert spot is not None
+    """One rewriting step on the violation `spot`; checks the measure drop."""
     kind, i = spot
     mu = _measure(word)
     out: List[Tuple[GeneratorWord, Fraction]] = []
@@ -485,7 +463,9 @@ def _rewrite(word: GeneratorWord, coeff: Fraction, width: int,
         af = word.factors[i + 1]
         group = (w0,) + af.wheels
         left, right = r5_closed_form(tuple(w.size for w in group))
-        assert left[0] == 1  # the violating word W0|AF0 carries coefficient 1
+        if left[0] != 1:
+            raise CertificateError(f"the closed form gives {word} the coefficient "
+                                   f"{left[0]}, not 1")
         prefix, suffix = word.factors[:i], word.factors[i + 2:]
         sides = [("left", k, left[k]) for k in range(1, len(group))]
         sides += [("right", k, right[k]) for k in range(len(group))]
@@ -497,10 +477,11 @@ def _rewrite(word: GeneratorWord, coeff: Fraction, width: int,
             nf, sign = _normalize_filter(rest)
             middle = (wk, nf) if side == "left" else (nf, wk)
             new = GeneratorWord(prefix + middle + suffix)
-            assert _measure(new) < mu, f"measure failed to drop on {new}"
             out.append((new, -coeff * c * sign))
     for new, _ in out:
-        assert _measure(new) < mu
+        if not _measure(new) < mu:
+            raise CertificateError(f"the termination measure failed to drop "
+                                   f"from {word} to {new}")
     return out
 
 
@@ -532,10 +513,11 @@ def reduce(x: Union[GeneratorWord, WordCombination, str], width: int,
         coeff = todo.pop(word)
         if not coeff:
             continue
-        if _first_violation(word, width) is None:
+        spot = _first_violation(word, width)
+        if spot is None:
             done[word] = done.get(word, Fraction(0)) + coeff
             continue
-        for new, c in _rewrite(word, coeff, width):
+        for new, c in _rewrite(word, coeff, width, spot):
             todo[new] = todo.get(new, Fraction(0)) + c
     return WordCombination(done)
 

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .cells import cell_complex, cell_index, wsgn_pairs
-from .cycles import AvgFilter, Filter, GeneratorWord, Wheel, word_cycle
+from .cycles import (AvgFilter, Filter, GeneratorWord, Wheel, admissible_sizes,
+                     word_cycle)
 from .homology import CertificateError, betti_number, express, image_echelon
 from .linalg import Echelon
 
@@ -67,17 +68,15 @@ def _set_partitions(items: tuple, parts: int):
 
 def _filters_on(support: tuple, width: int, style: str) -> list:
     """All basis-legal filters using exactly these labels."""
-    out = []
     n = len(support)
+    if n <= width:
+        return []  # every filter on these labels is trivial
+    out = []
     min_arity = 2 if style == AM else 3
     for m in range(min_arity, n + 1):
         for blocks in _set_partitions(support, m):
-            sizes = [len(b) for b in blocks]
-            total = sum(sizes)
-            if total <= width:
-                continue  # trivial
-            if any(total - s > width for s in sizes):
-                continue  # inadmissible
+            if not admissible_sizes([len(b) for b in blocks], width):
+                continue
             for wheels in itertools.product(*[_proper_wheels_on(b) for b in blocks]):
                 if style == AMW or m == 2:
                     ordered = tuple(sorted(wheels, key=Wheel.rank_key))
@@ -270,11 +269,9 @@ def _pairing_sign(word: GeneratorWord) -> int:
     if _word_class(word) != 2:
         return 1
     af = word.factors[0]
-    tops = tuple(sorted(w.top for w in af.wheels))
     src = tuple(w.top for w in af.wheels)
     size_of = {w.top: w.size for w in af.wheels}
-    return wsgn_pairs(tuple(sorted(src)), src, size_of.__getitem__) * \
-        wsgn_pairs(tuple(sorted(tops)), tops, size_of.__getitem__)
+    return wsgn_pairs(tuple(sorted(src)), src, size_of.__getitem__)
 
 
 def basis_change(labels, width: int, degree: int) -> BasisChange:

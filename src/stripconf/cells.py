@@ -121,31 +121,41 @@ class ComplexSpec:
 
 @lru_cache(maxsize=None)
 def _min_blocks(weights_desc: tuple, width: int) -> int:
-    # exact minimum number of width-w blocks covering these weights; the
-    # label sets in play are small (n <= 8) so branch and bound suffices
+    """Exact minimum number of width-w blocks covering these weights.
+
+    Branch and bound: the heaviest weight left opens a block together with
+    any fitting choice of the rest.  A choice size whose lightest entries
+    already overflow is skipped whole, equal choices of values are tried
+    once, and the search stops at the first packing that meets the floor
+    ceil(sum / width), so it is quick whenever a tight packing exists.
+    """
+    floor = max(1, -(-sum(weights_desc) // width))
     best = len(weights_desc)
 
-    def search(remaining: tuple, used: int, lower: int):
+    def search(remaining: tuple, used: int):
         nonlocal best
-        if used + max(1 if remaining else 0, -(-sum(remaining) // width)) >= best:
+        if used + -(-sum(remaining) // width) >= best:
             return
         if not remaining:
-            best = min(best, used)
+            best = used
             return
         head, rest = remaining[0], remaining[1:]
-        # head joins a fresh block together with any subset of the rest
         indices = range(len(rest))
         for r in range(len(rest), -1, -1):
+            if head + sum(rest[len(rest) - r:]) > width:
+                continue  # even the r lightest entries overflow
+            tried = set()
             for combo in itertools.combinations(indices, r):
-                chosen = [rest[i] for i in combo]
-                if head + sum(chosen) > width:
+                chosen = tuple(rest[i] for i in combo)
+                if chosen in tried or head + sum(chosen) > width:
                     continue
-                left = tuple(rest[i] for i in indices if i not in combo)
-                search(left, used + 1, lower)
-        return
+                tried.add(chosen)
+                search(tuple(rest[i] for i in indices if i not in combo), used + 1)
+                if best == floor:
+                    return
 
-    search(weights_desc, 0, 0)
-    return max(best, 1)
+    search(weights_desc, 0)
+    return best
 
 
 def cell_complex(labels, width: Optional[int], weights=None) -> ComplexSpec:

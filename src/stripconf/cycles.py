@@ -11,13 +11,19 @@ A filter on wheels W1,...,Wm is the image of the boundary Z of the top
 permutohedron cell on the wheels (one superlabel per wheel, weighted by
 disk count) under the identity inclusion followed by the spin expansions;
 the averaged variant routes Z through the block-averaging inclusion q
-instead.  On two wheels the filter is normalized to the display form
+instead.  One face expansion (`_face_chain`) builds both: every face of Z
+is a pair of position blocks, each position is replaced by its wheel's
+segment chain, and the faces whose blocks both hold two or more wheels
+give the witness of the filter Leibniz relation (R5 in algebra) the same
+way.  On two wheels the filter is normalized to the display form
 
     F(W1, W2) = W1|W2 + (-1)^{(n1-1)(n2-1)+1} W2|W1,
 
 and the averaged filter on two wheels equals the filter.  A filter is
 admissible at width w when every sum of all-but-one wheel sizes is at most
-w, and trivial exactly when the total size is at most w.
+w (`admissible_sizes`), and trivial exactly when the total size is at
+most w.  Every generator chain is checked to be a cycle before it is
+returned; a failure raises CertificateError.
 
 Generator words (concatenations of proper wheels and averaged filters) are
 written `W(3,1)|AF(W(2),W(5,4))`; whitespace is ignored.
@@ -34,6 +40,7 @@ from typing import Optional, Sequence, Union
 
 from .cells import cell_complex, wsgn_pairs
 from .chains import ChainVector, concat, concat_all, is_cycle
+from .homology import CertificateError
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +130,13 @@ class Wheel:
         return "W(" + ",".join(str(a) for a in self.labels) + ")"
 
 
+def admissible_sizes(sizes: Sequence[int], width: Optional[int]) -> bool:
+    """Whether a filter on wheels of these sizes is admissible: every sum of
+    all but one size fits the width (None: unbounded)."""
+    total = sum(sizes)
+    return width is None or all(total - n <= width for n in sizes)
+
+
 @dataclass(frozen=True)
 class Filter:
     wheels: tuple
@@ -152,7 +166,7 @@ class Filter:
         return min(self.wheels, key=Wheel.rank_key)
 
     def admissible(self, width: int) -> bool:
-        return all(self.total - n <= width for n in self.sizes)
+        return admissible_sizes(self.sizes, width)
 
     def trivial(self, width: int) -> bool:
         return self.total <= width
@@ -168,24 +182,6 @@ class Filter:
 class AvgFilter(Filter):
     def __str__(self):
         return "AF(" + ",".join(str(w) for w in self.wheels) + ")"
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """A filter recipe: ordered wheels plus the averaged flag."""
-
-    wheels: tuple
-    averaged: bool = False
-
-    def sizes(self, weight_of=None) -> tuple:
-        return tuple(tree_weight(_as_tree(w), weight_of) for w in self.wheels)
-
-    def admissible(self, width: int) -> bool:
-        sizes = self.sizes()
-        return all(sum(sizes) - n <= width for n in sizes)
-
-    def trivial(self, width: int) -> bool:
-        return sum(self.sizes()) <= width
 
 
 @dataclass(frozen=True)
@@ -257,9 +253,7 @@ def _wheel_cycle_cached(tree: WheelTree, width: Optional[int], weights: Optional
     spec = cell_complex(labels, width,
                         None if weights is None else {a: weight_of(a) for a in labels})
     coeffs = {(seg,): c for seg, c in _segment_chain(tree, weight_of).items()}
-    chain = ChainVector(spec, len(labels) - 1, coeffs, validate=True)
-    assert is_cycle(chain)
-    return chain
+    return _checked_cycle(ChainVector(spec, len(labels) - 1, coeffs, validate=True))
 
 
 def wheel_cycle(wheel, width: Optional[int], weights: Optional[dict] = None) -> ChainVector:
@@ -269,6 +263,14 @@ def wheel_cycle(wheel, width: Optional[int], weights: Optional[dict] = None) -> 
     if weights is not None:
         wt = tuple(weights[a] for a in tree_labels(tree))
     return _wheel_cycle_cached(tree, width, wt)
+
+
+def _checked_cycle(chain: ChainVector) -> ChainVector:
+    """The chain itself, once its boundary is checked to vanish."""
+    if not is_cycle(chain):
+        raise CertificateError(f"a generator chain in degree {chain.degree} of "
+                               f"{chain.spec.describe()} is not a cycle")
+    return chain
 
 
 def _arranged_faces(sizes: tuple, averaged: bool, min_block: int = 1):
@@ -300,48 +302,45 @@ def _arranged_faces(sizes: tuple, averaged: bool, min_block: int = 1):
                     yield (p1, p2), Fraction(zc * s1 * s2, denom)
 
 
-def _expand_word_blocks(blocks, coeff, segments, out):
-    """Substitute wheel segment chains for positions inside ordered blocks."""
-    partial = [((), coeff)]
-    sym = []
-    for block in blocks:
-        block_terms = [((), 1)]
-        for p in block:
-            block_terms = [
-                (seg + s2, c1 * c2)
-                for seg, c1 in block_terms
-                for s2, c2 in segments[p].items()
-            ]
-        partial = [
-            (cells + (seg,), c1 * c2)
-            for cells, c1 in partial
-            for seg, c2 in block_terms
-        ]
-    for cells, c in partial:
-        if c != 0:
-            out[cells] = out.get(cells, 0) + c
-    return out
+def _face_chain(wheels: Sequence, width: Optional[int], averaged: bool,
+                min_block: int = 1) -> ChainVector:
+    """Faces of the top permutohedron cell on these wheels, spun out to disks.
+
+    Each face from `_arranged_faces` (blocks of at least `min_block`
+    wheels, averaged or not) becomes a chain on the wheels' labels by
+    substituting every wheel's segment chain for its position.  All faces
+    give the filter; the faces whose two blocks both hold two or more
+    wheels give the witness of the filter Leibniz relation (algebra.R5).
+    """
+    trees = tuple(_as_tree(w) for w in wheels)
+    segments = [_segment_chain(t) for t in trees]
+    sizes = tuple(tree_weight(t) for t in trees)
+    out: dict = {}
+    for blocks, coeff in _arranged_faces(sizes, averaged, min_block):
+        terms = [((), coeff)]
+        for block in blocks:
+            # a block spells out as the concatenated segments of its wheels
+            spelled = [((), 1)]
+            for p in block:
+                spelled = [(seg + s, c * d) for seg, c in spelled
+                           for s, d in segments[p].items()]
+            terms = [(cell + (seg,), c * d) for cell, c in terms for seg, d in spelled]
+        for cell, c in terms:
+            out[cell] = out.get(cell, 0) + c
+    labels = tuple(sorted(a for t in trees for a in tree_labels(t)))
+    return ChainVector(cell_complex(labels, width), sum(sizes) - 2,
+                       {c: v for c, v in out.items() if v != 0}, validate=True)
 
 
 def _filter_chain(wheels: tuple, width: Optional[int], averaged: bool) -> ChainVector:
+    """The spun filter on these wheels, in any arity from two up."""
     trees = tuple(_as_tree(w) for w in wheels)
-    sizes = tuple(tree_weight(t) for t in trees)
-    total = sum(sizes)
-    if width is not None:
-        for n in sizes:
-            if total - n > width:
-                raise ValueError(
-                    f"inadmissible filter: wheel sizes {sizes} at width {width}")
-    segments = [_segment_chain(t) for t in trees]
-    out: dict = {}
-    for blocks, coeff in _arranged_faces(sizes, averaged):
-        _expand_word_blocks(blocks, coeff, segments, out)
-    labels = tuple(sorted(a for t in trees for a in tree_labels(t)))
-    spec = cell_complex(labels, width)
-    chain = ChainVector(spec, total - 2, {c: v for c, v in out.items() if v != 0},
-                        validate=True)
-    assert is_cycle(chain)
-    return chain
+    sizes = tuple(map(tree_weight, trees))
+    if len(sizes) < 2:
+        raise ValueError("a filter needs at least two wheels")
+    if not admissible_sizes(sizes, width):
+        raise ValueError(f"inadmissible filter: wheel sizes {sizes} at width {width}")
+    return _checked_cycle(_face_chain(trees, width, averaged))
 
 
 @lru_cache(maxsize=4096)
@@ -352,32 +351,20 @@ def _filter_cycle_cached(trees: tuple, width: Optional[int], averaged: bool) -> 
         w1 = _wheel_cycle_cached(trees[0], width, None)
         w2 = _wheel_cycle_cached(trees[1], width, None)
         sign = -1 if ((n1 - 1) * (n2 - 1) + 1) % 2 == 1 else 1
-        chain = concat(w1, w2) + concat(w2, w1).scale(sign)
-        assert is_cycle(chain)
-        return chain
+        return _checked_cycle(concat(w1, w2) + concat(w2, w1).scale(sign))
     return _filter_chain(trees, width, averaged)
 
 
-def filter_cycle(f, width: Optional[int] = None) -> ChainVector:
-    """Filter cycle; `f` is a FilterSpec or a sequence of wheels."""
-    if isinstance(f, FilterSpec):
-        wheels, averaged = f.wheels, f.averaged
-    else:
-        wheels, averaged = tuple(f), False
+def filter_cycle(wheels: Sequence, width: Optional[int] = None) -> ChainVector:
+    """Filter cycle on a sequence of wheels, trees or label tuples."""
+    return _filter_cycle_cached(tuple(_as_tree(w) for w in wheels), width, False)
+
+
+def averaged_filter_cycle(wheels: Sequence, width: Optional[int] = None) -> ChainVector:
+    """Averaged filter cycle on a sequence of wheels, trees or label tuples."""
     trees = tuple(_as_tree(w) for w in wheels)
-    if len(trees) < 2:
-        raise ValueError("a filter needs at least two wheels")
-    if averaged and len(trees) == 2:
-        averaged = False  # the averaged filter on two wheels is the filter
-    return _filter_cycle_cached(trees, width, averaged)
-
-
-def averaged_filter_cycle(f, width: Optional[int] = None) -> ChainVector:
-    if isinstance(f, FilterSpec):
-        f = FilterSpec(f.wheels, averaged=True)
-    else:
-        f = FilterSpec(tuple(f), averaged=True)
-    return filter_cycle(f, width)
+    # the averaged filter on two wheels is the filter
+    return _filter_cycle_cached(trees, width, len(trees) != 2)
 
 
 def word_cycle(word: GeneratorWord, width: Optional[int]) -> ChainVector:
@@ -392,9 +379,7 @@ def word_cycle(word: GeneratorWord, width: Optional[int]) -> ChainVector:
             chains.append(filter_cycle(f.wheels, width))
         else:
             raise TypeError(f"unknown word factor {f!r}")
-    result = concat_all(chains, width)
-    assert is_cycle(result)
-    return result
+    return _checked_cycle(concat_all(chains, width))
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,11 @@ first asked for.
 Every witness and certificate is checked before it is returned; a failed
 check raises CertificateError, which `python -O` does not strip.
 
-Cell enumeration is refused up front when a size estimate exceeds the
-resource cap; the estimate counts cells kind- and width-aware for unit
-weights and falls back to the unrestricted count otherwise.
+Work is refused up front when a size estimate exceeds the resource cap.
+Cell-level work is capped by the cell count, which is exact (kind- and
+width-aware) for unit weights and the unrestricted count otherwise; the
+isotypic path is capped by its block rows, m_k orbits times the sum of
+the f of the irreducibles, in every degree.
 """
 
 from __future__ import annotations
@@ -34,12 +36,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import Dict, Optional, Sequence
 
-from .cells import (ORDERED, ComplexSpec, cell_complex,
-                    cell_index, compositions, enumerate_cells, permutohedron,
-                    wheel_decomposition)
+from .cells import (ORDERED, ComplexSpec, cell_complex, cell_index,
+                    enumerate_cells, permutohedron, wheel_decomposition)
 from .chains import ChainVector, boundary, boundary_matrix, is_cycle
 from .equivariant import block_ranks, orbits
 from .linalg import Echelon, echelon_of_rows
@@ -56,12 +57,15 @@ class CertificateError(ArithmeticError):
 
 
 @lru_cache(maxsize=None)
-def _composition_count(n: int, parts: int, cap: int) -> int:
-    """Compositions of n into `parts` parts, each between 1 and cap."""
+def _fill_count(n: int, parts: int, cap: int, ordered: bool) -> int:
+    """Ways to fill `parts` blocks of 1 to cap labels, left to right, with n
+    labels: each block picks its labels in order (ordered complexes) or as
+    an ascending set (permutohedra) from those still free."""
     if parts == 0:
         return 1 if n == 0 else 0
-    return sum(_composition_count(n - c, parts - 1, cap)
-               for c in range(1, min(cap, n) + 1))
+    pick = perm if ordered else comb
+    return sum(pick(n, s) * _fill_count(n - s, parts - 1, cap, ordered)
+               for s in range(1, min(cap, n) + 1))
 
 
 def estimate_cells(spec: ComplexSpec, degree: Optional[int] = None) -> int:
@@ -76,27 +80,35 @@ def estimate_cells(spec: ComplexSpec, degree: Optional[int] = None) -> int:
         return 0
     blocks = n - degree
     cap = n if spec.width is None else min(spec.width, n)
-    unit = all(w == 1 for w in spec.weights)
-    if unit:
-        if spec.kind == ORDERED:
-            return factorial(n) * _composition_count(n, blocks, cap)
-        # ascending blocks: divide out the orderings inside blocks
-        total = 0
-        for sizes in compositions(n, blocks, cap):
-            m = factorial(n)
-            for s in sizes:
-                m //= factorial(s)
-            total += m
-        return total
+    if all(w == 1 for w in spec.weights):
+        return _fill_count(n, blocks, cap, spec.kind == ORDERED)
     # weighted fallback: the unrestricted ordered count bounds both kinds
     return factorial(n) * comb(n - 1, blocks - 1)
 
 
-def _guard(spec: ComplexSpec, degrees, max_cells: int):
-    est = sum(estimate_cells(spec, d) for d in degrees)
+def _involutions(n: int) -> int:
+    """The number of involutions of S_n, which is the sum of the dimensions
+    f of its irreducibles."""
+    a, b = 1, 1
+    for k in range(2, n + 1):
+        a, b = b, b + (k - 1) * a
+    return b
+
+
+def _guard(spec: ComplexSpec, degrees, max_cells: int, cells: bool = True):
+    """Refuse up front when the work in these degrees exceeds the cap.
+
+    The work is the number of cells, or, when `cells` is False and `spec`
+    is ranked per irreducible, the number of isotypic block rows: m_k
+    orbits times f summed over the irreducibles, in every degree k.
+    """
+    est, what = sum(estimate_cells(spec, d) for d in degrees), "cells"
+    if not cells and _isotypic(spec):
+        # unit-weight ordered: every orbit holds exactly n! cells
+        est, what = est // factorial(spec.n) * _involutions(spec.n), "isotypic block rows"
     if est > max_cells:
         raise ResourceRefusal(
-            f"estimated {est} cells across degrees {sorted(set(degrees))} "
+            f"estimated {est} {what} across degrees {sorted(set(degrees))} "
             f"of {spec.describe()} exceeds the cap of {max_cells}")
 
 
@@ -203,7 +215,7 @@ def homology_profile(spec: ComplexSpec,
     top = spec.top_degree()
     if top < 0:
         return HomologyProfile(spec, (), (), (0,))
-    _guard(spec, range(top + 1), max_cells)
+    _guard(spec, range(top + 1), max_cells, cells=False)
     cells = tuple(_cell_count(spec, d) for d in range(top + 1))
     found = _ranks(spec, range(1, top + 1))
     ranks = (0, *(found[d] for d in range(1, top + 1)), 0)
@@ -217,7 +229,7 @@ def betti_number(spec: ComplexSpec, degree: int,
     if degree < 0 or degree > top:
         return 0
     _guard(spec, [d for d in (degree - 1, degree, degree + 1) if 0 <= d <= top],
-           max_cells)
+           max_cells, cells=False)
     ranks = _ranks(spec, [d for d in (degree, degree + 1) if 1 <= d <= top])
     return (_cell_count(spec, degree) - ranks.get(degree, 0)
             - ranks.get(degree + 1, 0))
@@ -258,7 +270,7 @@ def isotypic_profile(spec: ComplexSpec,
         raise ValueError("isotypic profiles need unit weights and ordered blocks, "
                          f"not {spec.describe()}")
     top = spec.top_degree()
-    _guard(spec, range(top + 1), max_cells)
+    _guard(spec, range(top + 1), max_cells, cells=False)
     counts = [len(orbits(spec, k)) for k in range(top + 1)]
     shapes, dims, columns = [], [], []
     ranks = [0] * (top + 2)

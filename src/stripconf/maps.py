@@ -12,7 +12,10 @@
   p composed with q is the identity, and p kills every spin image.
 * spin_sigma expands the wheels of a permutation one disk at a time,
   spin_tau_sigma unwinds the wheels of tau (right to left) down to the
-  wheels of sigma.
+  wheels of sigma.  Both are one unwinding: each axle becomes its group
+  of parts (disks, or sigma's wheels), every group is peeled right to
+  left, the last group first, and the parts get their labels back.
+  wheel_expansion_program lists the steps of that same peel.
 """
 
 from __future__ import annotations
@@ -105,12 +108,6 @@ def spin(step: SpinStep, chain: ChainVector) -> ChainVector:
     return ChainVector(target, chain.degree + 1, out)
 
 
-def apply_program(program: SpinProgram, chain: ChainVector) -> ChainVector:
-    for step in program.steps:
-        chain = spin(step, chain)
-    return chain
-
-
 # ---------------------------------------------------------------------------
 # inclusions and projection
 
@@ -198,42 +195,60 @@ def project_p(chain: ChainVector) -> ChainVector:
 # composite spins along wheel decompositions
 
 
-def _peel_program(wheel: tuple, weight_of) -> list:
-    """Spin steps expanding one wheel label (the whole tuple) one disk at a time.
+def _unwind_steps(groups: Sequence[tuple], weight_of) -> list:
+    """Spin steps unwinding each group of parts, the last group first.
 
-    Labels during expansion are tuples of disks; the final labels are the
-    singleton tuples.  Peels the last entry at every step, which is exactly
-    the left-comb recipe of a proper wheel.
+    A group is a tuple of parts, and the labels met on the way are tuples
+    of parts; the final labels are the singleton tuples.  Every step peels
+    the last part off what is left of a group, which is exactly the
+    left-comb recipe of a proper wheel.  `weight_of` weighs one part.
     """
     steps = []
-    seg = tuple(wheel)
-    while len(seg) > 1:
-        head, last = seg[:-1], (seg[-1],)
-        steps.append(SpinStep(seg, head, last,
-                              sum(weight_of(x) for x in head), weight_of(seg[-1])))
-        seg = head
+    for seg in reversed(groups):
+        while len(seg) > 1:
+            head = seg[:-1]
+            steps.append(SpinStep(seg, head, seg[-1:],
+                                  sum(map(weight_of, head)), weight_of(seg[-1])))
+            seg = head
     return steps
 
 
 def wheel_expansion_program(sigma: Sequence, weight_of=None) -> SpinProgram:
     if weight_of is None:
         weight_of = lambda a: 1
-    dec = wheel_decomposition(sigma, weight_of)
-    steps = []
-    for wheel in reversed(dec.wheels):
-        steps.extend(_peel_program(wheel, weight_of))
-    return SpinProgram(tuple(steps))
+    return SpinProgram(tuple(_unwind_steps(wheel_decomposition(sigma, weight_of).wheels,
+                                           weight_of)))
 
 
-def _tuple_relabel(chain: ChainVector, mapping: dict, weights: dict, kind=ORDERED) -> ChainVector:
+def _tuple_relabel(chain: ChainVector, mapping: dict, weights: dict) -> ChainVector:
     # all target labels share one type, so plain sort is well defined
     labels = tuple(sorted(mapping.values()))
-    spec = ComplexSpec(kind, labels, tuple(weights[x] for x in labels), chain.spec.width)
+    spec = ComplexSpec(ORDERED, labels, tuple(weights[x] for x in labels), chain.spec.width)
     out = {}
     for cell, v in chain.coeffs.items():
         sym = tuple(tuple(mapping[a] for a in b) for b in cell)
         out[sym] = out.get(sym, 0) + v
     return ChainVector(spec, chain.degree, out)
+
+
+def _unwind(chain: ChainVector, dec, groups: tuple, weight_of, name) -> ChainVector:
+    """Spin each axle of the wheel decomposition `dec` out to its group of parts.
+
+    The chain must live on the axles, weighted by wheel weight.  They become
+    the groups themselves, so that no intermediate label can collide with
+    another; `_unwind_steps` peels every group down to single parts, and
+    each part p ends up as the label name(p) of weight weight_of(p).
+    """
+    if chain.spec.labels != dec.superlabels or chain.spec.weights != dec.weights:
+        raise ValueError(
+            f"chain must live on labels {dec.superlabels} with weights {dec.weights}")
+    work = _tuple_relabel(chain, dict(zip(chain.spec.labels, groups)),
+                          dict(zip(groups, chain.spec.weights)))
+    for step in _unwind_steps(groups, weight_of):
+        work = spin(step, work)
+    parts = [p for group in groups for p in group]
+    return _tuple_relabel(work, {(p,): name(p) for p in parts},
+                          {name(p): weight_of(p) for p in parts})
 
 
 def spin_sigma(sigma: Sequence, chain: ChainVector, weight_of=None) -> ChainVector:
@@ -246,20 +261,7 @@ def spin_sigma(sigma: Sequence, chain: ChainVector, weight_of=None) -> ChainVect
     if weight_of is None:
         weight_of = lambda a: 1
     dec = wheel_decomposition(sigma, weight_of)
-    expected = tuple(dec.superlabels)
-    if chain.spec.labels != expected or chain.spec.weights != dec.weights:
-        raise ValueError(
-            f"chain must live on labels {expected} with weights {dec.weights}")
-    # move to tuple labels so intermediate stages cannot collide
-    mapping = {axle: tuple(wheel) for axle, wheel in zip(dec.superlabels, dec.wheels)}
-    weights = {tuple(wheel): wt for wheel, wt in zip(dec.wheels, dec.weights)}
-    work = _tuple_relabel(chain, mapping, weights)
-    for wheel in reversed(dec.wheels):
-        for step in _peel_program(tuple(wheel), weight_of):
-            work = spin(step, work)
-    back = {(a,): a for w in dec.wheels for a in w}
-    final_weights = {a: weight_of(a) for w in dec.wheels for a in w}
-    return _tuple_relabel(work, back, final_weights)
+    return _unwind(chain, dec, dec.wheels, weight_of, lambda a: a)
 
 
 def spin_tau_sigma(tau: Sequence, sigma: Sequence, chain: ChainVector,
@@ -273,8 +275,7 @@ def spin_tau_sigma(tau: Sequence, sigma: Sequence, chain: ChainVector,
     if weight_of is None:
         weight_of = lambda a: 1
     dec_t = wheel_decomposition(tau, weight_of)
-    dec_s = wheel_decomposition(sigma, weight_of)
-    swheels = list(dec_s.wheels)
+    swheels = wheel_decomposition(sigma, weight_of).wheels
 
     def chunks(wheel: tuple) -> tuple:
         """Split one tau-wheel into the sigma-wheels composing it."""
@@ -289,22 +290,7 @@ def spin_tau_sigma(tau: Sequence, sigma: Sequence, chain: ChainVector,
                 raise ValueError("tau is not a concatenation of sigma's wheels")
         return tuple(out)
 
-    if chain.spec.labels != dec_t.superlabels or chain.spec.weights != dec_t.weights:
-        raise ValueError(
-            f"chain must live on labels {dec_t.superlabels} with weights {dec_t.weights}")
+    # the parts are sigma's wheels, each named by its axle
     wheel_weight = {sw: sum(weight_of(a) for a in sw) for sw in swheels}
-    # labels here are tuples of sigma-wheels
-    mapping = {axle: chunks(w) for axle, w in zip(dec_t.superlabels, dec_t.wheels)}
-    weights = {t: sum(wheel_weight[sw] for sw in t) for t in mapping.values()}
-    work = _tuple_relabel(chain, mapping, weights)
-    for w in reversed(dec_t.wheels):
-        seg = chunks(w)
-        while len(seg) > 1:
-            head, last = seg[:-1], (seg[-1],)
-            step = SpinStep(seg, head, last,
-                            sum(wheel_weight[sw] for sw in head), wheel_weight[seg[-1]])
-            work = spin(step, work)
-            seg = head
-    back = {(sw,): sw[0] for sw in swheels}
-    final_weights = {sw[0]: wheel_weight[sw] for sw in swheels}
-    return _tuple_relabel(work, back, final_weights)
+    return _unwind(chain, dec_t, tuple(chunks(w) for w in dec_t.wheels),
+                   wheel_weight.__getitem__, lambda sw: sw[0])

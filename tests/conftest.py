@@ -2,12 +2,16 @@
 
 Most tests pin small exact values computed once and checked into the
 suite; the helpers here only cover the recurring chores of building
-wheels on consecutive label blocks and sampling random chains.
+wheels on consecutive label blocks, sampling random chains and running a
+script under `python -O`.
 """
 
 import os
 import random
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +37,18 @@ def random_chain(spec, degree, rng, terms=4):
     for cell in rng.sample(cells, min(terms, len(cells))):
         coeffs[cell] = rng.choice((-2, -1, 1, 2, 3))
     return ChainVector(spec, degree, coeffs)
+
+
+def run_optimized(script: str) -> list:
+    """Run a script under `python -O`, which strips asserts, with the
+    package importable; it must exit cleanly.  Returns the printed words."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(script)],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
 
 
 @pytest.fixture

@@ -27,6 +27,8 @@ from stripconf.chains import ChainVector
 from stripconf.cycles import AvgFilter, Node, Leaf, Wheel, comb, parse_word, word_cycle
 from stripconf.homology import is_boundary
 
+from conftest import run_optimized
+
 
 # ---------------------------------------------------------------------------
 # R1 and the relabeling action
@@ -291,5 +293,32 @@ def test_word_combination_arithmetic():
 def test_word_combination_cycle():
     combo = WordCombination.of(parse_word("W(2,1)"), 3)
     assert combo.cycle(2) == word_cycle(parse_word("W(2,1)"), 2).scale(3)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         WordCombination().cycle(2)
+
+
+def test_failed_rewrite_checks_raise_under_python_O():
+    # a measure that does not drop, a wheel that does not properize and a
+    # closed form that loses its leading coefficient are failed claims
+    printed = run_optimized("""
+        import sys
+        import stripconf.algebra as algebra
+        from stripconf.homology import CertificateError
+
+        def attempt(call):
+            try:
+                call()
+            except CertificateError:
+                print("CertificateError")
+
+        measure = algebra._measure
+        algebra._measure = lambda word: ((), 0, 0)
+        attempt(lambda: algebra.reduce("W(1)|W(2)", 3))
+        algebra._measure = measure
+        algebra.solve_exact = lambda rows, target: None
+        attempt(lambda: algebra.properize((1, 2)))
+        algebra.r5_closed_form = lambda sizes: ((-1,) * len(sizes), (1,) * len(sizes))
+        attempt(lambda: algebra.reduce("W(1)|AF(W(2),W(3),W(4))", 2))
+        print(sys.flags.optimize)
+    """)
+    assert printed == ["CertificateError"] * 3 + ["1"]

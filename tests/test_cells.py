@@ -1,17 +1,13 @@
 import itertools
-import os
-import subprocess
-import sys
-import textwrap
 from math import comb as binom, factorial
-from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stripconf.cells import (
     ComplexSpec,
+    _min_blocks,
     canonical_key,
     cell_complex,
     cell_count,
@@ -28,6 +24,8 @@ from stripconf.cells import (
     wsgn,
     wsgn_pairs,
 )
+
+from conftest import run_optimized
 
 
 def test_describe_round_trip():
@@ -138,6 +136,44 @@ def test_top_degree_refuses_oversized_weights():
     assert cell_complex(labels, 2, weights).top_degree() == -1
 
 
+def brute_min_blocks(weights, width):
+    """Fewest bins of capacity `width` holding every weight, by trying each
+    weight in every open bin and in a new one."""
+    best = len(weights)
+
+    def place(i, bins):
+        nonlocal best
+        if i == len(weights):
+            best = min(best, len(bins))
+            return
+        for j, load in enumerate(bins):
+            if load + weights[i] <= width:
+                place(i + 1, bins[:j] + [load + weights[i]] + bins[j + 1:])
+        place(i + 1, bins + [weights[i]])
+
+    place(0, [])
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=8), st.integers(0, 12))
+# the first packing found here takes one block more than the optimum
+@example([3, 3, 3, 3, 1, 1, 1, 1], 5)
+@example([3, 2, 2, 2, 2, 2, 1, 1], 2)
+def test_min_blocks_matches_brute_force(weights, extra):
+    width = max(weights) + extra
+    want = brute_min_blocks(weights, width)
+    assert _min_blocks(tuple(sorted(weights, reverse=True)), width) == want
+    assert cell_complex(len(weights), width, weights).top_degree() == len(weights) - want
+
+
+def test_top_degree_is_quick_for_many_labels():
+    # a packing that meets ceil(total / width) ends the search at once
+    assert cell_complex(90, 7).top_degree() == 90 - 13
+    assert permutohedron(40, 3).top_degree() == 40 - 14
+    assert cell_complex(30, 4, [1, 2, 3] * 10).top_degree() == 30 - 15
+
+
 def test_dims_and_signs():
     spec = cell_complex(3, 2)
     assert top_dim(((3, 1), (2,))) == 1
@@ -193,7 +229,7 @@ def test_wheel_decomposition_weighted():
 def test_wheel_decomposition_rejects_entries_out_of_order_under_python_O():
     # entries whose comparisons contradict each other give axles that do
     # not increase; the check must survive the stripping of asserts
-    script = textwrap.dedent("""
+    printed = run_optimized("""
         import sys
         from stripconf.cells import wheel_decomposition
 
@@ -207,12 +243,7 @@ def test_wheel_decomposition_rejects_entries_out_of_order_under_python_O():
         except ValueError as e:
             print("ValueError", "totally ordered" in str(e), sys.flags.optimize)
     """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["ValueError", "True", "1"]
+    assert printed == ["ValueError", "True", "1"]
 
 
 def test_s_of_sigma_orbit():

@@ -6,7 +6,6 @@ from stripconf.chains import is_cycle
 from stripconf.cycles import (
     AvgFilter,
     Filter,
-    FilterSpec,
     GeneratorWord,
     Leaf,
     Node,
@@ -24,6 +23,8 @@ from stripconf.cycles import (
     wheel_cycle,
     word_cycle,
 )
+
+from conftest import run_optimized
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +162,6 @@ def test_arranged_faces_min_block():
     assert list(_arranged_faces((1, 1), False, min_block=2)) == []
 
 
-def test_filter_spec_mirrors_filter():
-    fs = FilterSpec((comb((3, 1)), comb((2,))), averaged=True)
-    assert fs.sizes() == (2, 1)
-    assert fs.admissible(2)
-    assert not fs.trivial(2)
-
-
 # ---------------------------------------------------------------------------
 # words
 
@@ -222,3 +216,29 @@ def test_word_cycles_are_cycles():
     for text in ["W(2,1)|W(3)", "AF(W(1),W(2),W(3))|W(4)", "W(4,2)|AF(W(1),W(3))"]:
         z = word_cycle(parse_word(text), 3)
         assert is_cycle(z)
+
+
+def test_failed_cycle_checks_raise_under_python_O():
+    # each generator chain is checked to be a cycle; make the check fail
+    # first for multi-block chains, then for every chain
+    printed = run_optimized("""
+        import sys
+        import stripconf.cycles as cycles
+        from stripconf.cycles import Wheel, parse_word
+        from stripconf.homology import CertificateError
+
+        def attempt(call):
+            try:
+                call()
+            except CertificateError:
+                print("CertificateError")
+
+        cycles.is_cycle = lambda chain: all(len(cell) == 1 for cell in chain.coeffs)
+        attempt(lambda: cycles.filter_cycle((Wheel((1,)), Wheel((2,))), 2))
+        attempt(lambda: cycles.averaged_filter_cycle(((1,), (2,), (3,)), 2))
+        attempt(lambda: cycles.word_cycle(parse_word("W(1)|W(2)"), 2))
+        cycles.is_cycle = lambda chain: False
+        attempt(lambda: cycles.wheel_cycle(Wheel((2, 1)), 2))
+        print(sys.flags.optimize)
+    """)
+    assert printed == ["CertificateError"] * 4 + ["1"]

@@ -1,10 +1,6 @@
 import dataclasses
-import os
-import subprocess
-import sys
-import textwrap
+import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -23,7 +19,7 @@ from stripconf.homology import (
     is_boundary,
 )
 
-from conftest import random_chain
+from conftest import random_chain, run_optimized
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +155,7 @@ def test_certificate_query_builds_one_tracked_echelon():
 
 
 def test_corrupted_witness_raises_under_python_O():
-    script = textwrap.dedent("""
+    printed = run_optimized("""
         import sys
         from stripconf.cells import cell_complex
         from stripconf.chains import ChainVector, boundary
@@ -178,12 +174,7 @@ def test_corrupted_witness_raises_under_python_O():
         except CertificateError:
             print("CertificateError", sys.flags.optimize)
     """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["CertificateError", "1"]
+    assert printed == ["CertificateError", "1"]
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +289,29 @@ def test_resource_refusal():
         homology_profile(spec, max_cells=10)
     with pytest.raises(ResourceRefusal):
         betti_number(spec, 1, max_cells=10)
+
+
+def test_refusal_at_forty_labels_is_immediate():
+    # neither the top degree nor the cell estimate walks the label subsets
+    start = time.process_time()
+    for make in (cell_complex, permutohedron):
+        with pytest.raises(ResourceRefusal):
+            homology_profile(make(40, 3))
+    assert time.process_time() - start < 0.5
+
+
+def test_isotypic_path_is_capped_by_block_rows():
+    # cell(6;3): 24 orbits of 720 cells (17,280), and the irreducibles of S_6
+    # have dimensions summing to 76, so its blocks hold 24 * 76 = 1,824 rows
+    spec = cell_complex(6, 3)
+    assert homology_profile(spec, max_cells=10_000).betti == (1, 15, 714, 780, 80)
+    with pytest.raises(ResourceRefusal, match="1824 isotypic block rows"):
+        homology_profile(spec, max_cells=1_000)
+    # membership queries work on cells, which the cap still counts
+    z = averaged_filter_cycle((Wheel((1,)), Wheel((2,)), Wheel((3,))), 3)
+    z = concat_all([z, wheel_cycle(Wheel((5, 4)), 3), wheel_cycle(Wheel((6,)), 3)], 3)
+    with pytest.raises(ResourceRefusal, match="cells"):
+        is_boundary(z, max_cells=10_000)
 
 
 def test_decomposition_check_small():

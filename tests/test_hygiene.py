@@ -10,6 +10,10 @@ name, an attribute or an imported name, or by being listed in `__all__`.
 
 The package's caches, `lru_cache`d functions and module-level `*_cache`
 dicts, are pinned by name, so adding or dropping one is done on purpose.
+
+No module in `src/stripconf` uses an `assert` statement: `python -O`
+strips them, so a check has to raise ValueError (bad input) or
+CertificateError (a failed claim) instead.
 """
 
 import ast
@@ -130,7 +134,7 @@ CACHE_SITES = {
     "chains.boundary_cell",
     "cycles._filter_cycle_cached",
     "cycles._wheel_cycle_cached",
-    "homology._composition_count",
+    "homology._fill_count",
     "homology._image_cache",
 }
 
@@ -197,3 +201,29 @@ def test_definition_checker_flags_unreferenced_and_honours_all():
     }
     others = ["import a\na.by_attribute()\n"]
     assert unused_definitions(modules, others) == [("a", 4, "recursive"), ("a", 6, "Dead")]
+
+
+def assert_lines(source: str) -> list:
+    """Line numbers of the `assert` statements anywhere in the source."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
+
+
+def test_no_assert_in_src():
+    found = {p.name: assert_lines(p.read_text()) for p in MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_assert_checker_finds_nested_asserts():
+    source = (
+        "# assert in a comment\n"
+        "assert_ok = 'assert x'\n"
+        "assert True\n"
+        "def f(x):\n"
+        "    assert x, 'message'\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        if self:\n"
+        "            assert self\n"
+    )
+    assert assert_lines(source) == [3, 5, 9]

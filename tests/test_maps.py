@@ -9,7 +9,6 @@ from stripconf.cycles import comb, _filter_chain
 from stripconf.maps import (
     SpinProgram,
     SpinStep,
-    apply_program,
     averaged_inclusion_q,
     include_permutohedron,
     project_p,
