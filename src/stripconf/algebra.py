@@ -35,12 +35,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from .basis import AMW, _adjacency_ok, _proper_wheels_on, enumerate_basis
 from .cells import cell_complex, cell_index, wsgn_pairs
 from .chains import ChainVector, boundary, concat, is_cycle
 from .cycles import (AvgFilter, Filter, GeneratorWord, Leaf, Node, Wheel,
                      WheelTree, _as_tree, _face_chain, _filter_chain,
                      _segment_chain, admissible_sizes, averaged_filter_cycle,
-                     comb, tree_labels, wheel_cycle, word_cycle)
+                     comb, parse_word, tree_labels, wheel_cycle, word_cycle)
 from .homology import CertificateError
 from .linalg import solve_exact
 
@@ -126,14 +127,12 @@ def _properize_pattern(tree: WheelTree) -> tuple:
     spec = cell_complex(labels, width)
     index = cell_index(spec, n - 1)
     target = wheel_cycle(tree, width).to_column(index)
-    top = labels[-1]
-    rest = tuple(a for a in labels if a != top)
-    propers = [(top,) + p for p in itertools.permutations(rest)]
-    rows = [wheel_cycle(Wheel(p), width).to_column(index) for p in propers]
+    propers = _proper_wheels_on(labels)
+    rows = [wheel_cycle(w, width).to_column(index) for w in propers]
     sol = solve_exact(rows, target)
     if sol is None:
         raise CertificateError(f"the wheel tree {tree} failed to properize")
-    return tuple((propers[i], c) for i, c in sorted(sol.items()))
+    return tuple((propers[i].labels, c) for i, c in sorted(sol.items()))
 
 
 def properize(wheel_or_tree) -> Dict[tuple, Fraction]:
@@ -433,17 +432,11 @@ def _measure(word: GeneratorWord) -> tuple:
 
 
 def _first_violation(word: GeneratorWord, width: int) -> Optional[tuple]:
-    for i, f in enumerate(word.factors[:-1]):
-        if not isinstance(f, Wheel):
-            continue
-        nxt = word.factors[i + 1]
-        if isinstance(nxt, Wheel):
-            if f.rank_key() > nxt.rank_key() or f.size + nxt.size > width:
-                continue
-            return ("swap", i)
-        if f.rank_key() > nxt.least_wheel().rank_key():
-            continue
-        return ("push", i)
+    """The first adjacent pair breaking the amw basis rules, as ("swap", i)
+    before a wheel or ("push", i) before a filter; None for a normal form."""
+    for i, (f, nxt) in enumerate(zip(word.factors, word.factors[1:])):
+        if not _adjacency_ok(f, nxt, width, AMW):
+            return ("swap" if isinstance(nxt, Wheel) else "push", i)
     return None
 
 
@@ -496,7 +489,6 @@ def reduce(x: Union[GeneratorWord, WordCombination, str], width: int,
     unless their sizes overflow the width, and a bare wheel left of a
     filter outranks the filter's least wheel.
     """
-    from .cycles import parse_word
     if isinstance(x, str):
         x = WordCombination.of(parse_word(x))
     elif isinstance(x, GeneratorWord):
@@ -565,7 +557,6 @@ def generation_check(k: int, width: int) -> Tuple[int, bool]:
     Returns (bound, ok): one disk past the bound, every basis word of
     degree k contains a bare one-disk wheel, so the class is induced.
     """
-    from .basis import AMW, enumerate_basis
     bound = 2 * k if width >= 3 else 3 * k
     words = enumerate_basis(bound + 1, width, k, AMW)
     ok = all(any(isinstance(f, Wheel) and f.size == 1 for f in w.factors)

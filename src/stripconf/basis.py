@@ -42,8 +42,8 @@ AMW = "amw"
 
 
 def _proper_wheels_on(support: tuple) -> List[Wheel]:
-    if len(support) == 1:
-        return [Wheel(support)]
+    """Every proper wheel on these labels: the largest first, the rest in
+    each order, in lex order of the rest when `support` is sorted."""
     top = max(support)
     rest = tuple(a for a in support if a != top)
     return [Wheel((top,) + p) for p in itertools.permutations(rest)]

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Optional
@@ -33,9 +32,11 @@ from typing import Iterable, Optional
 from .cells import (
     ComplexSpec,
     canonical_key,
+    cell_complex,
     cell_index,
     enumerate_cells,
     format_cell,
+    permutohedron,
     top_dim,
     validate_cell,
 )
@@ -99,9 +100,7 @@ class ChainVector:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ChainVector) and self.spec == other.spec
-                and self.degree == other.degree
-                and all(Fraction(v) == Fraction(other.coeffs.get(c, 0)) for c, v in self.coeffs.items())
-                and all(c in self.coeffs for c in other.coeffs))
+                and self.degree == other.degree and self.coeffs == other.coeffs)
 
     def __hash__(self):
         raise TypeError("chains are not hashable")
@@ -226,8 +225,6 @@ def concat_all(chains: Iterable[ChainVector], width, kind="cell") -> ChainVector
     The unit is the empty-configuration 0-chain, whose complex has no
     labels at all.
     """
-    from .cells import cell_complex, permutohedron
-
     result = None
     for ch in chains:
         result = ch if result is None else concat(result, ch)

@@ -15,11 +15,13 @@ instead.  One face expansion (`_face_chain`) builds both: every face of Z
 is a pair of position blocks, each position is replaced by its wheel's
 segment chain, and the faces whose blocks both hold two or more wheels
 give the witness of the filter Leibniz relation (R5 in algebra) the same
-way.  On two wheels the filter is normalized to the display form
+way.  On two wheels the filter is shown in the display form
 
     F(W1, W2) = W1|W2 + (-1)^{(n1-1)(n2-1)+1} W2|W1,
 
-and the averaged filter on two wheels equals the filter.  A filter is
+which is a sign on the face expansion: (-1)^{n1} times it, so the
+expansion is negated when the first wheel has odd size.  The averaged
+filter on two wheels equals the filter.  A filter is
 admissible at width w when every sum of all-but-one wheel sizes is at most
 w (`admissible_sizes`), and trivial exactly when the total size is at
 most w.  Every generator chain is checked to be a cycle before it is
@@ -39,7 +41,7 @@ from math import factorial
 from typing import Optional, Sequence, Union
 
 from .cells import cell_complex, wsgn_pairs
-from .chains import ChainVector, concat, concat_all, is_cycle
+from .chains import ChainVector, concat_all, is_cycle
 from .homology import CertificateError
 
 
@@ -292,7 +294,7 @@ def _arranged_faces(sizes: tuple, averaged: bool, min_block: int = 1):
             if sum(sizes[p] for p in first) % 2 == 1:
                 zc = -zc
             if not averaged:
-                yield (first, rest), Fraction(zc)
+                yield (first, rest), zc
                 continue
             denom = factorial(len(first)) * factorial(len(rest))
             for p1 in itertools.permutations(first):
@@ -345,14 +347,10 @@ def _filter_chain(wheels: tuple, width: Optional[int], averaged: bool) -> ChainV
 
 @lru_cache(maxsize=4096)
 def _filter_cycle_cached(trees: tuple, width: Optional[int], averaged: bool) -> ChainVector:
-    if len(trees) == 2 and not averaged:
-        # display normalization on two wheels
-        n1, n2 = (tree_weight(t) for t in trees)
-        w1 = _wheel_cycle_cached(trees[0], width, None)
-        w2 = _wheel_cycle_cached(trees[1], width, None)
-        sign = -1 if ((n1 - 1) * (n2 - 1) + 1) % 2 == 1 else 1
-        return _checked_cycle(concat(w1, w2) + concat(w2, w1).scale(sign))
-    return _filter_chain(trees, width, averaged)
+    chain = _filter_chain(trees, width, averaged)
+    if len(trees) == 2 and not averaged and tree_weight(trees[0]) % 2:
+        return -chain  # the display form on two wheels
+    return chain
 
 
 def filter_cycle(wheels: Sequence, width: Optional[int] = None) -> ChainVector:

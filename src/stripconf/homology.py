@@ -1,18 +1,24 @@
 """Rational homology of the strip complexes.
 
 Betti numbers come from exact ranks of the boundary matrices:
-betti_k = #cells_k - rank d_k - rank d_{k+1}.  A rank is read from the
-first of:
+betti_k = #cells_k - rank d_k - rank d_{k+1}.  Ranks take one of two
+routes, each refused up front by its own guard:
 
-* the cell-level echelon of the image of d_k, when one is cached;
-* for unit-weight ordered complexes (any label set, any width, None
-  included): the isotypic blocks of `equivariant`, which use the free S_n
-  action to rank one small block per irreducible instead of the
-  cell-level matrix, and count cells without enumerating them.
-  `isotypic_profile` reports the multiplicity of every irreducible in
-  every degree from the same blocks;
-* a cell-level echelon, built and cached.  Weighted complexes and
-  permutohedra always take this path.
+* unit-weight ordered complexes (any label set, any width, None
+  included) are ranked per irreducible by the isotypic blocks of
+  `equivariant`, which use the free S_n action to rank one small block per
+  irreducible instead of the cell-level matrix, and count cells without
+  enumerating them.  `isotypic_profile` builds every profile of such a
+  complex, and also reports the multiplicity of every irreducible in every
+  degree.  The guard counts block rows: m_k orbits times the sum of the f
+  of the irreducibles, in every degree.  Only a request whose degrees all
+  have a cached cell-level echelon reads the ranks from those instead.
+* every other complex (weighted labels, permutohedra) is ranked by
+  cell-level echelons, built and cached.  The guard counts cells: exactly
+  (kind- and width-aware) for unit weights, and the unrestricted count,
+  an upper estimate, for weighted labels.  It runs before the exact top
+  degree is searched for, against the search-free bound
+  n - ceil(total weight / width).
 
 The echelon of the image of d_{k+1} is cached per (complex, degree), so
 repeated membership queries (is_boundary, express) in the same degree
@@ -23,12 +29,6 @@ first asked for.
 
 Every witness and certificate is checked before it is returned; a failed
 check raises CertificateError, which `python -O` does not strip.
-
-Work is refused up front when a size estimate exceeds the resource cap.
-Cell-level work is capped by the cell count, which is exact (kind- and
-width-aware) for unit weights and the unrestricted count otherwise; the
-isotypic path is capped by its block rows, m_k orbits times the sum of
-the f of the irreducibles, in every degree.
 """
 
 from __future__ import annotations
@@ -68,14 +68,19 @@ def _fill_count(n: int, parts: int, cap: int, ordered: bool) -> int:
                for s in range(1, min(cap, n) + 1))
 
 
+def _top_bound(spec: ComplexSpec) -> int:
+    """An upper bound on the top degree that searches no packing: n minus
+    ceil(total weight / width) blocks, exact for unit weights."""
+    if spec.n == 0 or spec.width is None or max(spec.weights) > spec.width:
+        return spec.top_degree()  # no search in these cases
+    return spec.n - -(-spec.total_weight() // spec.width)
+
+
 def estimate_cells(spec: ComplexSpec, degree: Optional[int] = None) -> int:
     """Upper estimate of the number of cells (exact for unit weights)."""
     n = spec.n
     if degree is None:
-        top = spec.top_degree()
-        if top < 0:
-            return 0
-        return sum(estimate_cells(spec, d) for d in range(top + 1))
+        return sum(estimate_cells(spec, d) for d in range(_top_bound(spec) + 1))
     if not 0 <= degree <= max(n - 1, 0):
         return 0
     blocks = n - degree
@@ -145,23 +150,14 @@ def _isotypic(spec: ComplexSpec) -> bool:
 def _ranks(spec: ComplexSpec, degrees) -> dict:
     """{k: rank d_k} for degrees 1 <= k <= top.
 
-    A cached cell-level echelon gives its rank; otherwise unit-weight
-    ordered complexes are ranked per irreducible, all the remaining degrees
-    together, and every other complex by a cell-level echelon.
+    Unit-weight ordered complexes are ranked per irreducible, all degrees
+    together, unless every degree has a cached cell-level echelon; every
+    other request reads (and builds and caches) cell-level echelons.
     """
-    ranks, blocks = {}, []
-    for k in degrees:
-        ech = _image_cache.get((spec, k - 1))
-        if ech is not None:
-            ranks[k] = ech.rank
-        elif _isotypic(spec):
-            blocks.append(k)
-        else:
-            ranks[k] = image_echelon(spec, k - 1).rank
-    for _, f, block in (block_ranks(spec, blocks) if blocks else ()):
-        for k in blocks:
-            ranks[k] = ranks.get(k, 0) + f * block[k]
-    return ranks
+    if _isotypic(spec) and not all((spec, k - 1) in _image_cache for k in degrees):
+        blocks = block_ranks(spec, degrees)
+        return {k: sum(f * block[k] for _, f, block in blocks) for k in degrees}
+    return {k: image_echelon(spec, k - 1).rank for k in degrees}
 
 
 def boundary_rank(spec: ComplexSpec, degree: int) -> int:
@@ -209,27 +205,29 @@ def homology_profile(spec: ComplexSpec,
                      max_cells: int = DEFAULT_MAX_CELLS) -> HomologyProfile:
     """Betti numbers, cell counts and boundary ranks in every degree.
 
-    Not cached itself: a repeated call reads the cached image echelons,
-    or ranks the isotypic blocks again.
+    Not cached itself: a repeated call ranks the isotypic blocks again, or
+    reads the cached image echelons.
     """
+    if _isotypic(spec):
+        return isotypic_profile(spec, max_cells).profile
+    _guard(spec, range(_top_bound(spec) + 1), max_cells)
     top = spec.top_degree()
     if top < 0:
         return HomologyProfile(spec, (), (), (0,))
-    _guard(spec, range(top + 1), max_cells, cells=False)
     cells = tuple(_cell_count(spec, d) for d in range(top + 1))
-    found = _ranks(spec, range(1, top + 1))
-    ranks = (0, *(found[d] for d in range(1, top + 1)), 0)
+    ranks = (0, *_ranks(spec, range(1, top + 1)).values(), 0)
     return HomologyProfile(spec, _betti(cells, ranks), cells, ranks)
 
 
 def betti_number(spec: ComplexSpec, degree: int,
                  max_cells: int = DEFAULT_MAX_CELLS) -> int:
     """One Betti number without computing the whole profile."""
-    top = spec.top_degree()
-    if degree < 0 or degree > top:
+    bound = _top_bound(spec)
+    if not 0 <= degree <= bound:
         return 0
-    _guard(spec, [d for d in (degree - 1, degree, degree + 1) if 0 <= d <= top],
+    _guard(spec, [d for d in (degree - 1, degree, degree + 1) if 0 <= d <= bound],
            max_cells, cells=False)
+    top = spec.top_degree()
     ranks = _ranks(spec, [d for d in (degree, degree + 1) if 1 <= d <= top])
     return (_cell_count(spec, degree) - ranks.get(degree, 0)
             - ranks.get(degree + 1, 0))

@@ -92,6 +92,17 @@ def test_leibniz_rule_on_concat(rng):
         assert lhs == rhs
 
 
+def test_chain_equality_compares_coefficients():
+    spec = cell_complex(2, 2)
+    a, b = ((1,), (2,)), ((2,), (1,))
+    assert ChainVector(spec, 0, {a: 2}) == ChainVector(spec, 0, {a: Fraction(2)})
+    assert ChainVector(spec, 0, {a: 2, b: 0}) == ChainVector(spec, 0, {a: 2})
+    assert ChainVector(spec, 0, {a: 2}) != ChainVector(spec, 0, {a: 2, b: 1})
+    assert ChainVector(spec, 0, {a: 2, b: 1}) != ChainVector(spec, 0, {a: 2})
+    assert ChainVector(spec, 0, {a: 2}) != ChainVector(spec, 0, {b: 2})
+    assert ChainVector(spec, 0, {a: 1}) != ChainVector(spec, 0, {a: Fraction(1, 2)})
+
+
 def test_concat_requires_disjoint_labels():
     spec = cell_complex(2, 2)
     z = ChainVector(spec, 0, {((1,), (2,)): 1})

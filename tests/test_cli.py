@@ -1,10 +1,13 @@
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
 
 from stripconf.cli import main, parse_permutation
+
+from test_homology import HARD_PACKING
 
 
 def run(capsys, *argv):
@@ -99,6 +102,15 @@ def test_betti_needs_a_label_set(capsys):
 def test_betti_resource_refusal(capsys):
     code, _, err = run(capsys, "betti", "--n", "6", "--w", "3",
                        "--max-cells", "10")
+    assert code == 3
+    assert "refused:" in err
+
+
+def test_betti_refuses_a_hard_packing_at_once(capsys):
+    labels = " ".join(f"{a}:{w}" for a, w in enumerate(HARD_PACKING, 1))
+    start = time.process_time()
+    code, _, err = run(capsys, "betti", "--labels", labels, "--w", "10")
+    assert time.process_time() - start < 0.5
     assert code == 3
     assert "refused:" in err
 

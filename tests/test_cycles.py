@@ -1,8 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from stripconf.chains import is_cycle
+from stripconf.chains import concat, is_cycle
 from stripconf.cycles import (
     AvgFilter,
     Filter,
@@ -126,12 +127,23 @@ def test_two_wheel_filter_is_the_display_form():
 
 def test_raw_filter_chain_differs_from_display_by_first_size():
     # the spun construction on two wheels equals (-1)^{n1} times the display
-    for sizes, wheels in [((1, 2), (Wheel((1,)), Wheel((3, 2)))),
-                          ((2, 1), (Wheel((3, 2)), Wheel((1,)))),
-                          ((2, 2), (Wheel((2, 1)), Wheel((4, 3))))]:
-        raw = _filter_chain(tuple(w.tree() for w in wheels), 4, False)
+    # form W1|W2 + (-1)^{(n1-1)(n2-1)+1} W2|W1, for sizes 1 to 3 on each side
+    for n1, n2 in itertools.product((1, 2, 3), repeat=2):
+        wheels = (Wheel(tuple(range(n1, 0, -1))), Wheel(tuple(range(10 + n2, 10, -1))))
+        w1, w2 = (wheel_cycle(w, 4) for w in wheels)
         disp = filter_cycle(wheels, 4)
-        assert raw == disp.scale((-1) ** sizes[0])
+        assert disp == concat(w1, w2) + concat(w2, w1).scale((-1) ** ((n1 - 1) * (n2 - 1) + 1))
+        raw = _filter_chain(tuple(w.tree() for w in wheels), 4, False)
+        assert raw == disp.scale((-1) ** n1)
+
+
+def test_plain_filter_coefficients_are_ints():
+    # a plain filter is a signed sum of faces: no Fraction arithmetic
+    for wheels in [(Wheel((1,)), Wheel((2,))), (Wheel((2, 1)), Wheel((3,))),
+                   (Wheel((1,)), Wheel((2,)), Wheel((3,))),
+                   (Wheel((2, 1)), Wheel((3,)), Wheel((5, 4)), Wheel((6,)))]:
+        z = filter_cycle(wheels, 6)
+        assert z.coeffs and all(type(v) is int for v in z.coeffs.values()), wheels
 
 
 def test_averaged_filter_on_two_wheels_is_the_filter():

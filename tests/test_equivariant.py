@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stripconf.homology as homology
-from stripconf.cells import cell_complex, permutohedron
+from stripconf.cells import cell_complex, enumerate_cells, permutohedron
 from stripconf.chains import boundary_matrix
 from stripconf.equivariant import Irrep, block_ranks, partitions, tableaux
 from stripconf.homology import (betti_number, boundary_rank, homology_profile,
@@ -102,8 +102,10 @@ def test_unit_weight_frozen_tables_on_the_isotypic_path():
     tables += [((len(w), width), betti) for (w, width), betti in HOMOLOGY_BETTI.items()]
     for (n, width), betti in tables:
         spec = cell_complex((2, 5, 7, 11, 13)[:n], width)
-        assert homology_profile(spec).betti == betti
-        assert isotypic_profile(spec).profile.betti == betti
+        prof = homology_profile(spec)
+        assert prof.betti == betti
+        assert prof == isotypic_profile(spec).profile
+        assert prof.cells == tuple(len(enumerate_cells(spec, d)) for d in range(len(betti)))
         assert tuple(betti_number(spec, k) for k in range(len(betti))) == betti
 
 
@@ -131,6 +133,35 @@ def test_a_cached_echelon_gives_its_rank(monkeypatch):
     monkeypatch.setattr(homology, "block_ranks", refuse)
     assert boundary_rank(spec, 2) == ech.rank == 43
     assert betti_number(spec, 2) == 29
+
+
+def test_rank_route_takes_echelons_only_when_every_degree_has_one(monkeypatch):
+    monkeypatch.setattr(homology, "_image_cache", {})
+    spec = cell_complex(5, 3)
+    asked = []
+
+    def spy(spec, degrees):
+        asked.append(list(degrees))
+        return block_ranks(spec, degrees)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an echelon despite the isotypic blocks")
+
+    # one of the two degrees cached: the blocks rank both, no echelon is built
+    ech = image_echelon(spec, 1)
+    monkeypatch.setattr(homology, "block_ranks", spy)
+    monkeypatch.setattr(homology, "echelon_of_rows", refuse)
+    assert homology._ranks(spec, [2, 3])[2] == ech.rank
+    assert betti_number(spec, 2) == 169
+    assert asked == [[2, 3], [2, 3]]
+    monkeypatch.undo()
+
+    # both cached: the echelons give the ranks, no block is ranked
+    monkeypatch.setattr(homology, "_image_cache", {(spec, 1): ech})
+    top = image_echelon(spec, 2)
+    monkeypatch.setattr(homology, "block_ranks", refuse)
+    assert homology._ranks(spec, [2, 3]) == {2: ech.rank, 3: top.rank}
+    assert betti_number(spec, 2) == 169
 
 
 def test_weighted_and_permutohedra_stay_cell_level():

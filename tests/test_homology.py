@@ -300,6 +300,21 @@ def test_refusal_at_forty_labels_is_immediate():
     assert time.process_time() - start < 0.5
 
 
+# 28 weighted labels on which the exact top-degree search at width 10 runs
+# for well over 20 s; the cell guard has to come before it
+HARD_PACKING = [7] * 4 + [6] * 7 + [5] * 3 + [4, 4, 3, 3] + [2] * 4 + [1] * 6
+
+
+def test_refusal_of_a_hard_packing_is_immediate():
+    spec = cell_complex(len(HARD_PACKING), 10, HARD_PACKING)
+    start = time.process_time()
+    with pytest.raises(ResourceRefusal):
+        homology_profile(spec)
+    with pytest.raises(ResourceRefusal):
+        betti_number(spec, 3)
+    assert time.process_time() - start < 0.5
+
+
 def test_isotypic_path_is_capped_by_block_rows():
     # cell(6;3): 24 orbits of 720 cells (17,280), and the irreducibles of S_6
     # have dimensions summing to 76, so its blocks hold 24 * 76 = 1,824 rows

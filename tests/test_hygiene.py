@@ -14,6 +14,10 @@ dicts, are pinned by name, so adding or dropping one is done on purpose.
 No module in `src/stripconf` uses an `assert` statement: `python -O`
 strips them, so a check has to raise ValueError (bad input) or
 CertificateError (a failed claim) instead.
+
+No function or class in `src/stripconf` imports: every import sits at
+module level, where the unused-import check sees it and where an import
+cycle shows when the package loads.
 """
 
 import ast
@@ -227,3 +231,35 @@ def test_assert_checker_finds_nested_asserts():
         "            assert self\n"
     )
     assert assert_lines(source) == [3, 5, 9]
+
+
+def function_level_imports(source: str) -> list:
+    """Line numbers of the imports inside a function or class body."""
+    return sorted({node.lineno for scope in ast.walk(ast.parse(source))
+                   if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                   for node in ast.walk(scope) if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+def test_no_function_level_imports_in_src():
+    found = {p.name: function_level_imports(p.read_text()) for p in MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_import_checker_finds_nested_imports():
+    source = (
+        "import os\n"
+        "from . import cells\n"
+        "# import in a comment\n"
+        "def f():\n"
+        "    import json\n"
+        "    return 'import x'\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        if self:\n"
+        "            from .chains import boundary\n"
+        "try:\n"
+        "    import numpy\n"
+        "except ImportError:\n"
+        "    numpy = None\n"
+    )
+    assert function_level_imports(source) == [5, 10]
