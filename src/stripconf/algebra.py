@@ -23,13 +23,17 @@ R5  for wheels W_1..W_{m+1} whose every (m-1)-fold size sum fits, the
 reduce() rewrites any combination of generator words into the normal form
 of the averaged-filter basis, using R2 on inverted wheel pairs and R5 on
 a wheel stuck left of a filter it does not outrank.  Termination is
-guarded by an explicit lexicographic measure, checked to drop at every
-step; a failed check raises CertificateError.
+guarded by an explicit lexicographic measure, checked to drop from every
+rewritten word to each of its children; a failed check raises
+CertificateError.  Words are rewritten largest measure first, so each is
+rewritten once, after every word that produces it.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -412,23 +416,32 @@ def _measure(word: GeneratorWord) -> tuple:
          outrank each bare wheel), sorted descending;
       2. the number of (bare wheel, filter strictly to its right) pairs;
       3. rank inversions among the bare wheels.
-    R5 steps drop 1, or keep 1 and drop 2; R2 swaps keep both and drop 3.
+    R5 steps drop 1, or keep 1 and drop 2; R2 swaps keep both and drop 3;
+    neither changes the number of bare wheels, the length of 1.  reduce()
+    computes it once per queued word, rewrites words largest measure first,
+    each once, and checks the drop from every rewritten word to each child.
     """
-    all_ranks = []
+    ranks, bare, comp2 = [], [], 0
     for f in word.factors:
         if isinstance(f, Wheel):
-            all_ranks.append(f.rank_key())
+            ranks.append(f.rank_key())
+            bare.append(ranks[-1])
         else:
-            all_ranks.extend(w.rank_key() for w in f.wheels)
-    bare = [(i, f.rank_key()) for i, f in enumerate(word.factors)
-            if isinstance(f, Wheel)]
-    filters = [i for i, f in enumerate(word.factors) if isinstance(f, AvgFilter)]
-    comp1 = tuple(sorted((sum(1 for r in all_ranks if r > rk) for _, rk in bare),
+            ranks.extend(w.rank_key() for w in f.wheels)
+            comp2 += len(bare)
+    ranks.sort()
+    comp1 = tuple(sorted((len(ranks) - bisect_right(ranks, rk) for rk in bare),
                          reverse=True))
-    comp2 = sum(1 for i, _ in bare for j in filters if j > i)
-    comp3 = sum(1 for (i, ri), (j, rj) in itertools.combinations(bare, 2)
-                if i < j and ri < rj)
+    comp3 = sum(1 for ri, rj in itertools.combinations(bare, 2) if ri < rj)
     return (comp1, comp2, comp3)
+
+
+def _heap_key(mu: tuple) -> tuple:
+    """A min-heap key that pops larger measures first.  Negating the
+    co-ranks reverses their order only between tuples of one length, which
+    suffices: a rewrite keeps the number of bare wheels."""
+    comp1, comp2, comp3 = mu
+    return (tuple(-v for v in comp1), -comp2, -comp3)
 
 
 def _first_violation(word: GeneratorWord, width: int) -> Optional[tuple]:
@@ -441,10 +454,13 @@ def _first_violation(word: GeneratorWord, width: int) -> Optional[tuple]:
 
 
 def _rewrite(word: GeneratorWord, coeff: Fraction, width: int, spot: tuple,
-             ) -> List[Tuple[GeneratorWord, Fraction]]:
-    """One rewriting step on the violation `spot`; checks the measure drop."""
+             mu: tuple) -> List[Tuple[GeneratorWord, Fraction, tuple]]:
+    """One rewriting step on the violation `spot` of a word of measure `mu`.
+
+    Returns (child, coefficient, measure of the child), having checked
+    that every child's measure drops below `mu`.
+    """
     kind, i = spot
-    mu = _measure(word)
     out: List[Tuple[GeneratorWord, Fraction]] = []
     if kind == "swap":
         a, b = word.factors[i], word.factors[i + 1]
@@ -471,11 +487,14 @@ def _rewrite(word: GeneratorWord, coeff: Fraction, width: int, spot: tuple,
             middle = (wk, nf) if side == "left" else (nf, wk)
             new = GeneratorWord(prefix + middle + suffix)
             out.append((new, -coeff * c * sign))
-    for new, _ in out:
-        if not _measure(new) < mu:
+    children = []
+    for new, c in out:
+        nu = _measure(new)
+        if not nu < mu:
             raise CertificateError(f"the termination measure failed to drop "
                                    f"from {word} to {new}")
-    return out
+        children.append((new, c, nu))
+    return children
 
 
 def reduce(x: Union[GeneratorWord, WordCombination, str], width: int,
@@ -488,29 +507,45 @@ def reduce(x: Union[GeneratorWord, WordCombination, str], width: int,
     satisfies the basis conditions: adjacent bare wheels descend in rank
     unless their sizes overflow the width, and a bare wheel left of a
     filter outranks the filter's least wheel.
+
+    Pending words wait on a heap, largest termination measure first (ties
+    in queueing order).  Every child of a rewrite measures strictly less
+    than its parent, so a word is popped only once all the words that
+    produce it have been, with its coefficient complete: each word is
+    rewritten at most once.
     """
     if isinstance(x, str):
         x = WordCombination.of(parse_word(x))
     elif isinstance(x, GeneratorWord):
         x = WordCombination.of(x)
-    todo: Dict[GeneratorWord, Fraction] = {}
-    for word, c in x.items():
+    pending: Dict[GeneratorWord, Fraction] = {}
+    heap: list = []
+    tick = itertools.count()
+
+    def queue(word: GeneratorWord, c: Fraction, mu: tuple):
+        if word in pending:
+            pending[word] += c
+        else:
+            pending[word] = c
+            heapq.heappush(heap, (_heap_key(mu), next(tick), word, mu))
+
+    for word, c in x.terms.items():
         _check_generator_word(word, width)
         if any(isinstance(f, AvgFilter) and f.trivial(width) for f in word.factors):
             continue  # the word is a boundary
-        todo[word] = todo.get(word, Fraction(0)) + c
+        queue(word, c, _measure(word))
     done: Dict[GeneratorWord, Fraction] = {}
-    while todo:
-        word = min(todo, key=str)
-        coeff = todo.pop(word)
+    while heap:
+        _, _, word, mu = heapq.heappop(heap)
+        coeff = pending.pop(word)
         if not coeff:
             continue
         spot = _first_violation(word, width)
         if spot is None:
-            done[word] = done.get(word, Fraction(0)) + coeff
+            done[word] = coeff
             continue
-        for new, c in _rewrite(word, coeff, width, spot):
-            todo[new] = todo.get(new, Fraction(0)) + c
+        for new, c, nu in _rewrite(word, coeff, width, spot, mu):
+            queue(new, c, nu)
     return WordCombination(done)
 
 

@@ -16,9 +16,11 @@ routes, each refused up front by its own guard:
 * every other complex (weighted labels, permutohedra) is ranked by
   cell-level echelons, built and cached.  The guard counts cells: exactly
   (kind- and width-aware) for unit weights, and the unrestricted count,
-  an upper estimate, for weighted labels.  It runs before the exact top
-  degree is searched for, against the search-free bound
-  n - ceil(total weight / width).
+  an upper estimate, for weighted labels.
+
+The guards of homology_profile, betti_number, boundary_rank, is_boundary
+and express run before the exact top degree is searched for, against the
+search-free bound n - ceil(total weight / width).
 
 The echelon of the image of d_{k+1} is cached per (complex, degree), so
 repeated membership queries (is_boundary, express) in the same degree
@@ -160,9 +162,17 @@ def _ranks(spec: ComplexSpec, degrees) -> dict:
     return {k: image_echelon(spec, k - 1).rank for k in degrees}
 
 
-def boundary_rank(spec: ComplexSpec, degree: int) -> int:
-    """Rank of d_degree : C_degree -> C_{degree-1}."""
-    if degree < 1 or degree > spec.top_degree():
+def boundary_rank(spec: ComplexSpec, degree: int,
+                  max_cells: int = DEFAULT_MAX_CELLS) -> int:
+    """Rank of d_degree : C_degree -> C_{degree-1}.
+
+    Refused when degrees degree-1 and degree exceed `max_cells`, counted
+    as betti_number counts them, before the top degree is searched for.
+    """
+    if not 1 <= degree <= _top_bound(spec):
+        return 0
+    _guard(spec, (degree - 1, degree), max_cells, cells=False)
+    if degree > spec.top_degree():
         return 0
     return _ranks(spec, [degree])[degree]
 
@@ -311,8 +321,8 @@ def is_boundary(chain: ChainVector, want_witness: bool = False,
         raise ValueError("is_boundary expects a cycle")
     if chain.is_zero():
         return BoundaryAnswer(True, witness=ChainVector.zero(spec, k + 1))
-    top = spec.top_degree()
-    _guard(spec, [d for d in (k, k + 1) if 0 <= d <= top], max_cells)
+    bound = _top_bound(spec)
+    _guard(spec, [d for d in (k, k + 1) if 0 <= d <= bound], max_cells)
     index = cell_index(spec, k)
     vec = chain.to_column(index)
     ech = image_echelon(spec, k, track=want_witness)
@@ -355,8 +365,8 @@ def express(chain: ChainVector, basis: Sequence[ChainVector],
             raise ValueError("basis must match the chain")
     if not all(is_cycle(z) for z in (chain, *basis)):
         raise ValueError("express expects cycles")
-    top = spec.top_degree()
-    _guard(spec, [d for d in (k, k + 1) if 0 <= d <= top], max_cells)
+    bound = _top_bound(spec)
+    _guard(spec, [d for d in (k, k + 1) if 0 <= d <= bound], max_cells)
     index = cell_index(spec, k)
     ech = image_echelon(spec, k)
     residues = [ech.residue(b.to_column(index)) for b in basis]

@@ -1,6 +1,11 @@
+import hashlib
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
+
+import stripconf.algebra as algebra
 
 from stripconf.algebra import (
     WordCombination,
@@ -21,13 +26,16 @@ from stripconf.algebra import (
     relation_instance,
     stability_params,
     _first_violation,
+    _measure,
+    _rewrite,
 )
 from stripconf.cells import cell_complex
 from stripconf.chains import ChainVector
-from stripconf.cycles import AvgFilter, Node, Leaf, Wheel, comb, parse_word, word_cycle
+from stripconf.cycles import (AvgFilter, GeneratorWord, Node, Leaf, Wheel,
+                              admissible_sizes, comb, parse_word, word_cycle)
 from stripconf.homology import is_boundary
 
-from conftest import run_optimized
+from conftest import run_optimized, wheels_on_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +225,135 @@ def test_reduce_rejects_bad_words():
         reduce("AF(W(2),W(1),W(3))", 2)
     with pytest.raises(ValueError, match="does not fit"):
         reduce("W(3,2,1)", 2)
+
+
+def relabelled_shapes(labels=(5, 7)):
+    """(combination, width) for every shape of 1-3 bare wheels in front of
+    one or two admissible, nontrivial filters, on 5-7 labels by default, at
+    widths 2-4: three times the word relabelled by act() with a seeded
+    permutation of the labels of every factor."""
+    rng = random.Random(0)
+    out = []
+    for width in (2, 3, 4):
+        filters = [sizes for m in range(3, labels[1] + 1)
+                   for sizes in itertools.combinations_with_replacement(range(1, width + 1), m)
+                   if sum(sizes) > width and admissible_sizes(sizes, width)]
+        fronts = [bare for nbare in (1, 2, 3)
+                  for bare in itertools.product(range(1, width + 1), repeat=nbare)]
+        backs = [fs for nf in (1, 2) for fs in itertools.product(filters, repeat=nf)]
+        for bare, fs in itertools.product(fronts, backs):
+            if not labels[0] <= sum(bare) + sum(map(sum, fs)) <= labels[1]:
+                continue
+            factors = list(wheels_on_blocks(bare))
+            start = sum(bare) + 1
+            for sizes in fs:
+                factors.append(AvgFilter(wheels_on_blocks(sizes, start)))
+                start += sum(sizes)
+            word = GeneratorWord(tuple(factors))
+            for _ in range(3):
+                mapping = {}
+                for f in factors:
+                    block = sorted(GeneratorWord((f,)).labels())
+                    image = list(block)
+                    rng.shuffle(image)
+                    mapping.update(zip(block, image))
+                out.append((act(mapping, word), width))
+    return out
+
+
+def worklist_reduce(combo, width, pick):
+    """reduce() as a plain worklist: `pick` chooses the next pending word,
+    and a word that comes back after its rewrite is rewritten again.
+    Returns the normal form and the rewritten words, in order."""
+    todo = {w: c for w, c in combo.terms.items()
+            if not any(isinstance(f, AvgFilter) and f.trivial(width) for f in w.factors)}
+    done, rewritten = {}, []
+    while todo:
+        word = pick(list(todo))
+        coeff = todo.pop(word)
+        spot = _first_violation(word, width)
+        if spot is None:
+            done[word] = done.get(word, 0) + coeff
+            continue
+        rewritten.append(word)
+        for new, c, _ in _rewrite(word, coeff, width, spot, _measure(word)):
+            todo[new] = todo.get(new, 0) + c
+    return WordCombination(done), rewritten
+
+
+def with_descendants(combo, width):
+    """The combination plus every word rewritten on its way to normal form.
+
+    Rewriting one of these words reaches no word from two parents; in the
+    sum, a word that a rewrite produces also comes from the input, so an
+    order that rewrites it before its parent rewrites it twice."""
+    _, rewritten = worklist_reduce(combo, width, lambda words: words[0])
+    return combo + WordCombination({w: 1 for w in rewritten})
+
+
+def test_reduce_is_independent_of_the_rewriting_order():
+    rng = random.Random(7)
+    shapes = relabelled_shapes()
+    assert len(shapes) == 3 * 37
+    assert {width for _, width in shapes} == {2, 3, 4}
+    assert any(sum(isinstance(f, AvgFilter) for f in w.factors) == 2
+               for combo, _ in shapes for w in combo.terms)
+    for combo, width in shapes:
+        for x in (combo, with_descendants(combo, width)):
+            out = reduce(x, width)
+            assert worklist_reduce(x, width, lambda words: words[0])[0] == out
+            assert worklist_reduce(x, width, rng.choice)[0] == out
+
+
+def test_reduce_rewrites_each_word_once(monkeypatch):
+    seen = []
+    honest = algebra._rewrite
+
+    def counted(word, *args):
+        seen.append(word)
+        return honest(word, *args)
+
+    monkeypatch.setattr(algebra, "_rewrite", counted)
+    big = act({3: 5, 4: 3, 5: 4, 7: 8, 8: 7},
+              parse_word("W(1)|W(2)|AF(W(3),W(4),W(5))|W(6)|AF(W(7),W(8),W(9))"))
+    for combo, width in relabelled_shapes(labels=(7, 7)) + [(big, 2)]:
+        x = with_descendants(combo, width)
+        seen.clear()
+        reduce(x, width)
+        assert len(seen) == len(set(seen))
+    assert len(seen) > 50
+
+
+# sha256 of repr(quotient_reduce(act(mapping, word), d, width)) for words on
+# 8-9 labels, frozen when reduce() still took its words in string order: the
+# order in which words are rewritten must not change a normal form
+PINNED_NORMAL_FORMS = [
+    ("W(1)|W(2)|AF(W(3),W(4),W(5))|W(6)|AF(W(7),W(8),W(9))",
+     {3: 5, 4: 3, 5: 4, 7: 8, 8: 7}, 0, 2, 175,
+     "32a859d13acfb0feb5aaa87d8aa576d69a80e8060919a411367c98a4c87ddbfc"),
+    ("W(2,1)|W(4,3)|W(6,5)|AF(W(7),W(8),W(9))",
+     {1: 2, 2: 1, 3: 4, 4: 3, 7: 9, 8: 7, 9: 8}, 1, 2, 1,
+     "55b7cbe185d522c8a9bad567c39f2d0b731edf27f0a4fbf99be61a80e67e812b"),
+    ("W(3,2,1)|W(4)|W(5)|AF(W(6),W(7),W(8),W(9))",
+     {1: 3, 2: 1, 3: 2, 6: 7, 7: 9, 9: 6}, 0, 3, 34,
+     "03d705ceda1140d62f92240cd96bbea22bf51b15c42b132570d8d8470ce3c455"),
+    ("W(2,1)|W(5,4,3)|AF(W(6),W(7),W(9,8))",
+     {1: 2, 2: 1, 3: 5, 5: 3}, 1, 3, 2,
+     "a4f9c1b5281af0952a5861832455a7e75860055180927ddd641eac7f328b3f60"),
+    ("W(1)|W(2)|W(3)|W(4)|AF(W(5),W(6),W(7),W(8),W(9))",
+     {5: 8, 6: 7, 7: 9, 8: 6, 9: 5}, 0, 4, 41,
+     "30003fbec4c3a26865ea8022a2e46b2077c0614ac7e59cb0b70963ebfd9c76f9"),
+    ("W(2,1)|AF(W(4,3),W(6,5),W(8,7))",
+     {1: 2, 2: 1, 3: 8, 6: 7, 7: 3, 8: 6}, 1, 4, 7,
+     "dd68d13afacfa028e41a909f4ceece9a53a64b0a12742a9ba4fb7ba709f1e92a"),
+]
+
+
+@pytest.mark.parametrize("text,mapping,d,width,terms,digest", PINNED_NORMAL_FORMS)
+def test_large_normal_forms_match_the_pinned_digest(text, mapping, d, width, terms, digest):
+    out = quotient_reduce(act(mapping, parse_word(text)), d, width)
+    assert len(out.terms) == terms
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from stripconf.homology import (
     CertificateError,
     ResourceRefusal,
     betti_number,
+    boundary_rank,
     decomposition_check,
     estimate_cells,
     express,
@@ -312,6 +313,30 @@ def test_refusal_of_a_hard_packing_is_immediate():
         homology_profile(spec)
     with pytest.raises(ResourceRefusal):
         betti_number(spec, 3)
+    assert time.process_time() - start < 0.5
+
+
+def test_boundary_rank_refuses_a_hard_packing_at_once():
+    spec = cell_complex(len(HARD_PACKING), 10, HARD_PACKING)
+    start = time.process_time()
+    with pytest.raises(ResourceRefusal):
+        boundary_rank(spec, 3)
+    assert time.process_time() - start < 0.5
+    # the cap is the one betti_number applies: block rows on the isotypic path
+    with pytest.raises(ResourceRefusal, match="isotypic block rows"):
+        boundary_rank(cell_complex(6, 3), 2, max_cells=1_000)
+    assert boundary_rank(cell_complex(6, 3), 2, max_cells=10_000) == boundary_rank(
+        cell_complex(6, 3), 2)
+
+
+def test_membership_refuses_a_hard_packing_at_once():
+    spec = cell_complex(len(HARD_PACKING), 10, HARD_PACKING)
+    z = ChainVector(spec, 0, {tuple((a,) for a in spec.labels): 1})
+    start = time.process_time()
+    with pytest.raises(ResourceRefusal):
+        is_boundary(z)
+    with pytest.raises(ResourceRefusal):
+        express(z, [z])
     assert time.process_time() - start < 0.5
 
 
