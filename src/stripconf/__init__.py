@@ -15,12 +15,12 @@ from .cycles import (AvgFilter, Filter, GeneratorWord, Wheel,
                      WordSyntaxError, averaged_filter_cycle, filter_cycle,
                      format_word, parse_word, wheel_cycle, word_cycle)
 from .maps import (averaged_inclusion_q, include_permutohedron, project_p,
-                   spin, spin_sigma)
+                   spin, spin_sigma, spin_tau_sigma)
 from .homology import (DEFAULT_MAX_CELLS, BoundaryAnswer, CertificateError,
                        ExpressResult, HomologyProfile, IsotypicProfile,
-                       ResourceRefusal, betti_number, decomposition_check,
-                       estimate_cells, express, homology_profile,
-                       is_boundary, isotypic_profile)
+                       ResourceRefusal, betti_number, boundary_rank,
+                       decomposition_check, estimate_cells, express,
+                       homology_profile, is_boundary, isotypic_profile)
 from .basis import (AM, AMW, BasisReport, basis_change, basis_cycle,
                     enumerate_basis, verify_basis)
 from .algebra import (RelationInstance, StabilityParams, WordCombination, act,
@@ -40,12 +40,12 @@ __all__ = [
     "Wheel", "Filter", "AvgFilter", "GeneratorWord",
     "WordSyntaxError", "parse_word", "format_word", "wheel_cycle",
     "filter_cycle", "averaged_filter_cycle", "word_cycle",
-    "spin", "spin_sigma", "include_permutohedron", "averaged_inclusion_q",
-    "project_p",
+    "spin", "spin_sigma", "spin_tau_sigma", "include_permutohedron",
+    "averaged_inclusion_q", "project_p",
     "DEFAULT_MAX_CELLS", "ResourceRefusal", "CertificateError",
     "HomologyProfile", "IsotypicProfile", "BoundaryAnswer",
     "ExpressResult", "estimate_cells", "homology_profile", "betti_number",
-    "isotypic_profile",
+    "boundary_rank", "isotypic_profile",
     "is_boundary", "express", "decomposition_check",
     "AM", "AMW", "BasisReport", "enumerate_basis", "basis_cycle",
     "verify_basis", "basis_change",

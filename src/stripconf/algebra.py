@@ -42,12 +42,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .basis import AMW, _adjacency_ok, _proper_wheels_on, enumerate_basis
 from .cells import cell_complex, cell_index, wsgn_pairs
 from .chains import ChainVector, boundary, concat, is_cycle
-from .cycles import (AvgFilter, Filter, GeneratorWord, Leaf, Node, Wheel,
-                     WheelTree, _as_tree, _face_chain, _filter_chain,
-                     _segment_chain, admissible_sizes, averaged_filter_cycle,
-                     comb, parse_word, tree_labels, wheel_cycle, word_cycle)
+from .cycles import (AvgFilter, Filter, GeneratorWord, Wheel, _as_tree,
+                     _filter_chain, _spun, _top_cell, admissible_sizes,
+                     averaged_filter_cycle, parse_word, wheel_cycle, word_cycle)
 from .homology import CertificateError
 from .linalg import solve_exact
+from .maps import Leaf, Node, WheelTree, comb, tree_labels
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +253,8 @@ def r2_instance(w1: Wheel, w2: Wheel, width: int) -> RelationInstance:
     rhs = concat(wheel_cycle(w2, width), wheel_cycle(w1, width)).scale(sign)
     diff = lhs - rhs
     # the witness merges the two wheels into one block, W1 first
-    front = Fraction(-1 if n1 % 2 else 1)
-    merged = {(s + t,): front * c * d for s, c in _segment_chain(w1.tree()).items()
-              for t, d in _segment_chain(w2.tree()).items()}
-    witness = ChainVector(cell_complex(tuple(sorted(w1.labels + w2.labels)), width),
-                          n1 + n2 - 1, merged, validate=True)
+    trees = (w1.tree(), w2.tree())
+    witness = _spun(_top_cell(trees).scale(Fraction(-1 if n1 % 2 else 1)), trees, width)
     return RelationInstance("R2", {"w1": w1, "w2": w2, "width": width},
                             diff, witness)
 
@@ -337,7 +334,10 @@ def r5_instance(wheels: Sequence[Wheel], width: int) -> RelationInstance:
     if not _r5_admissible(sizes, width):
         raise ValueError(f"wheel sizes {sizes} fail the (m-1)-fold sum bound "
                          f"at width {width}")
-    witness = _face_chain(wheels, width, True, min_block=2)
+    trees = tuple(w.tree() for w in wheels)
+    faces = boundary(_top_cell(trees))
+    middle = {face: v for face, v in faces.coeffs.items() if min(map(len, face)) >= 2}
+    witness = _spun(ChainVector(faces.spec, faces.degree, middle), trees, width, True)
     left, right = r5_closed_form(sizes)
     combination = ChainVector.zero(witness.spec, witness.degree - 1)
     coeffs = {}

@@ -36,8 +36,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-Label = int
-Block = tuple
 CellSym = tuple
 
 _INT64_MAX = 2**63 - 1
@@ -314,10 +312,6 @@ def validate_cell(cell: CellSym, spec: ComplexSpec) -> None:
             raise ValueError(f"block {block} exceeds width {spec.width}")
         if spec.kind == PERMUTOHEDRON and tuple(sorted(block)) != block:
             raise ValueError(f"permutohedron block {block} not ascending")
-
-
-def cell_count(spec: ComplexSpec) -> int:
-    return sum(len(enumerate_cells(spec, k)) for k in range(spec.top_degree() + 1))
 
 
 # ---------------------------------------------------------------------------

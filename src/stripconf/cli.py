@@ -25,7 +25,7 @@ from .cells import cell_complex, parse_weighted_set, permutohedron
 from .chains import verify_boundary_squared
 from .cycles import Wheel, WordSyntaxError, parse_word
 from .homology import (DEFAULT_MAX_CELLS, ResourceRefusal, decomposition_check,
-                       homology_profile, isotypic_profile)
+                       estimate_cells, homology_profile, isotypic_profile)
 from .basis import AM, AMW, verify_basis
 
 
@@ -135,15 +135,26 @@ def _relation_battery(width: int):
     return checks
 
 
+def _refuse_past_cap(spec, max_cells: int):
+    """Refuse, before anything is enumerated, a complex whose estimated
+    cell count exceeds the cap."""
+    est = estimate_cells(spec)
+    if est > max_cells:
+        raise ResourceRefusal(f"estimated {est} cells of {spec.describe()} "
+                              f"exceeds the cap of {max_cells}")
+
+
 def _cmd_verify(args) -> int:
     results = []
     if args.scope == "boundary":
         spec = _spec_from_args(args)
+        _refuse_past_cap(spec, args.max_cells)
         rep = verify_boundary_squared(spec)
         results.append((f"boundary^2 {spec.describe()}", rep.ok))
     elif args.scope == "basis":
         if args.n is None:
             raise ValueError("--scope basis needs --n")
+        _refuse_past_cap(cell_complex(args.n, args.w), args.max_cells)
         styles = [AM, AMW] if args.style == "both" else [args.style]
         degrees = ([args.degree] if args.degree is not None
                    else list(range(args.n)))
@@ -159,7 +170,8 @@ def _cmd_verify(args) -> int:
     elif args.scope == "decomposition":
         if args.n is None:
             raise ValueError("--scope decomposition needs --n")
-        rep = decomposition_check(args.n, args.w)
+        _refuse_past_cap(cell_complex(args.n, args.w), args.max_cells)
+        rep = decomposition_check(args.n, args.w, max_cells=args.max_cells)
         results.append((f"decomposition n={args.n} w={args.w} "
                         f"({rep.sectors} sectors)", rep.ok))
     elif args.scope == "generation":
@@ -244,11 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--w", type=int, required=width_required,
                        help="strip width")
         p.add_argument("--format", choices=("table", "json"), default="table")
+
+    def capped(p):
         p.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS,
                        help="refuse complexes larger than this")
 
     p = sub.add_parser("betti", help="Betti numbers of a configuration complex")
     common(p)
+    capped(p)
     p.add_argument("--n", type=int, help="number of unit disks, labeled 1..n")
     p.add_argument("--labels", help="weighted labels, e.g. '1 2:2 3'")
     p.add_argument("--kind", choices=("cell", "perm"), default="cell")
@@ -260,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     common(p)
+    capped(p)
     p.add_argument("--scope", required=True,
                    choices=("boundary", "basis", "relations",
                             "decomposition", "generation"))

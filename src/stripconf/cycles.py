@@ -1,31 +1,31 @@
 """Generator cycles: wheels, filters, averaged-filters, and their products.
 
-A wheel is the cycle obtained by repeatedly splitting a point with spin
-maps; the split recipe is a binary tree over the disk labels.  The proper
-wheel W(i1,...,in) is the left comb peeling the last entry at every step.
-Splitting a segment of total weights u, v contributes the two orders
-(u-part v-part) with coefficient 1 and (v-part u-part) with coefficient
-(-1)^{uv-1}, so for example W(2,1) is the chain `2 1` + `1 2`.
+There is one construction: a permutohedron chain on wheel positions,
+taken into the ordered complex, with every position spun out along its
+wheel's split tree (`maps.substitute`).
 
-A filter on wheels W1,...,Wm is the image of the boundary Z of the top
-permutohedron cell on the wheels (one superlabel per wheel, weighted by
-disk count) under the identity inclusion followed by the spin expansions;
-the averaged variant routes Z through the block-averaging inclusion q
-instead.  One face expansion (`_face_chain`) builds both: every face of Z
-is a pair of position blocks, each position is replaced by its wheel's
-segment chain, and the faces whose blocks both hold two or more wheels
-give the witness of the filter Leibniz relation (R5 in algebra) the same
-way.  On two wheels the filter is shown in the display form
+A wheel is a point spun out by a split tree over its disk labels
+(`maps.segment_chain`, where the spin sign lives).  The proper wheel
+W(i1,...,in) is the left comb peeling the last entry at every step, so
+for example W(2,1) is the chain `2 1` + `1 2`.
+
+A filter on wheels W1,...,Wm is the boundary Z of the top permutohedron
+cell on the wheel positions (position p weighted by the disk count of
+W_p), taken through the identity inclusion and spun out to disks; the
+averaged filter takes Z through the block-averaging map q instead.  The
+faces of Z whose blocks both hold two or more positions, averaged and
+spun the same way, give the witness of the filter Leibniz relation (R5
+in algebra), and the top cell on two positions gives the witness of R2.
+On two wheels the filter is shown in the display form
 
     F(W1, W2) = W1|W2 + (-1)^{(n1-1)(n2-1)+1} W2|W1,
 
-which is a sign on the face expansion: (-1)^{n1} times it, so the
-expansion is negated when the first wheel has odd size.  The averaged
-filter on two wheels equals the filter.  A filter is
-admissible at width w when every sum of all-but-one wheel sizes is at most
-w (`admissible_sizes`), and trivial exactly when the total size is at
-most w.  Every generator chain is checked to be a cycle before it is
-returned; a failure raises CertificateError.
+which is (-1)^{n1} times the spun boundary, so that is negated when the
+first wheel has odd size.  The averaged filter on two wheels equals the
+filter.  A filter is admissible at width w when every sum of all-but-one
+wheel sizes is at most w (`admissible_sizes`), and trivial exactly when
+the total size is at most w.  Every generator chain is checked to be a
+cycle before it is returned; a failure raises CertificateError.
 
 Generator words (concatenations of proper wheels and averaged filters) are
 written `W(3,1)|AF(W(2),W(5,4))`; whitespace is ignored.
@@ -33,65 +33,16 @@ written `W(3,1)|AF(W(2),W(5,4))`; whitespace is ignored.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from functools import lru_cache
-from math import factorial
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .cells import cell_complex, wsgn_pairs
-from .chains import ChainVector, concat_all, is_cycle
+from .cells import cell_complex, permutohedron
+from .chains import ChainVector, boundary, concat_all, is_cycle
 from .homology import CertificateError
-
-
-# ---------------------------------------------------------------------------
-# wheel trees
-
-
-@dataclass(frozen=True)
-class Leaf:
-    label: int
-
-
-@dataclass(frozen=True)
-class Node:
-    left: "WheelTree"
-    right: "WheelTree"
-
-
-WheelTree = Union[Leaf, Node]
-
-
-def comb(labels: Sequence[int]) -> WheelTree:
-    """Left comb over the labels: the proper-wheel split recipe."""
-    labels = tuple(labels)
-    if not labels:
-        raise ValueError("a wheel needs at least one disk")
-    tree: WheelTree = Leaf(labels[0])
-    for a in labels[1:]:
-        tree = Node(tree, Leaf(a))
-    return tree
-
-
-def tree_labels(tree: WheelTree) -> tuple:
-    if isinstance(tree, Leaf):
-        return (tree.label,)
-    return tree_labels(tree.left) + tree_labels(tree.right)
-
-
-def tree_weight(tree: WheelTree, weight_of=None) -> int:
-    if weight_of is None:
-        return len(tree_labels(tree))
-    return sum(weight_of(a) for a in tree_labels(tree))
-
-
-def is_left_comb(tree: WheelTree) -> bool:
-    while isinstance(tree, Node):
-        if not isinstance(tree.right, Leaf):
-            return False
-        tree = tree.left
-    return True
+from .maps import (Leaf, Node, WheelTree, averaged_inclusion_q, comb,
+                   include_permutohedron, segment_chain, substitute, tree_labels,
+                   tree_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -103,20 +54,20 @@ class Wheel:
     """A wheel presented by its label sequence; proper iff largest label first."""
 
     labels: tuple
+    # the largest label, which rank_key reads on every comparison; derived
+    # from the labels, so left out of eq/hash
+    top: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.labels:
             raise ValueError("empty wheel")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("wheel labels must be distinct")
+        object.__setattr__(self, "top", max(self.labels))
 
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    @property
-    def top(self) -> int:
-        return max(self.labels)
 
     def is_proper(self) -> bool:
         return self.labels[0] == self.top
@@ -228,23 +179,6 @@ def _as_tree(w) -> WheelTree:
 # cycle construction
 
 
-def _segment_chain(tree: WheelTree, weight_of=None) -> dict:
-    """Single-block segment chain of a wheel tree: {label tuple: coefficient}."""
-    if isinstance(tree, Leaf):
-        return {(tree.label,): 1}
-    left = _segment_chain(tree.left, weight_of)
-    right = _segment_chain(tree.right, weight_of)
-    wl = tree_weight(tree.left, weight_of)
-    wr = tree_weight(tree.right, weight_of)
-    flip = -1 if (wl * wr - 1) % 2 == 1 else 1
-    out: dict = {}
-    for s, c in left.items():
-        for t, d in right.items():
-            out[s + t] = out.get(s + t, 0) + c * d
-            out[t + s] = out.get(t + s, 0) + c * d * flip
-    return out
-
-
 @lru_cache(maxsize=4096)
 def _wheel_cycle_cached(tree: WheelTree, width: Optional[int], weights: Optional[tuple]):
     labels = tree_labels(tree)
@@ -254,7 +188,7 @@ def _wheel_cycle_cached(tree: WheelTree, width: Optional[int], weights: Optional
         raise ValueError(f"wheel of total weight {total} does not fit in width {width}")
     spec = cell_complex(labels, width,
                         None if weights is None else {a: weight_of(a) for a in labels})
-    coeffs = {(seg,): c for seg, c in _segment_chain(tree, weight_of).items()}
+    coeffs = {(seg,): c for seg, c in segment_chain(tree, weight_of).items()}
     return _checked_cycle(ChainVector(spec, len(labels) - 1, coeffs, validate=True))
 
 
@@ -275,63 +209,25 @@ def _checked_cycle(chain: ChainVector) -> ChainVector:
     return chain
 
 
-def _arranged_faces(sizes: tuple, averaged: bool, min_block: int = 1):
-    """Faces of the boundary of the top permutohedron cell on `sizes` wheels.
+def _top_cell(trees: tuple) -> ChainVector:
+    """The top cell of the permutohedron on wheel positions 1..m, position
+    p weighing the disk count of the p-th tree."""
+    m = len(trees)
+    spec = permutohedron(m, None, tuple(map(tree_weight, trees)))
+    return ChainVector(spec, m - 1, {(spec.labels,): 1})
 
-    Yields (ordered position blocks, rational coefficient).  Positions are
-    0..m-1; a face is an ordered pair of complementary blocks.  With
-    `averaged` the orderings of each block are signed-averaged, otherwise
-    blocks stay ascending (identity inclusion).  `min_block` restricts to
-    faces whose blocks both hold at least that many positions.
+
+def _spun(chain: ChainVector, trees: tuple, width: Optional[int],
+          averaged: bool = False) -> ChainVector:
+    """A permutohedron chain on wheel positions, spun out to disks.
+
+    The chain goes into the ordered complex through the identity
+    inclusion, or through the block-averaging map q when `averaged`, and
+    position p is then spun out along the p-th tree.
     """
-    m = len(sizes)
-    size_of = lambda p: sizes[p]
-    positions = tuple(range(m))
-    for r in range(min_block, m - min_block + 1):
-        for first in itertools.combinations(positions, r):
-            rest = tuple(p for p in positions if p not in first)
-            zc = wsgn_pairs(positions, first + rest, size_of)
-            if sum(sizes[p] for p in first) % 2 == 1:
-                zc = -zc
-            if not averaged:
-                yield (first, rest), zc
-                continue
-            denom = factorial(len(first)) * factorial(len(rest))
-            for p1 in itertools.permutations(first):
-                s1 = wsgn_pairs(first, p1, size_of)
-                for p2 in itertools.permutations(rest):
-                    s2 = wsgn_pairs(rest, p2, size_of)
-                    yield (p1, p2), Fraction(zc * s1 * s2, denom)
-
-
-def _face_chain(wheels: Sequence, width: Optional[int], averaged: bool,
-                min_block: int = 1) -> ChainVector:
-    """Faces of the top permutohedron cell on these wheels, spun out to disks.
-
-    Each face from `_arranged_faces` (blocks of at least `min_block`
-    wheels, averaged or not) becomes a chain on the wheels' labels by
-    substituting every wheel's segment chain for its position.  All faces
-    give the filter; the faces whose two blocks both hold two or more
-    wheels give the witness of the filter Leibniz relation (algebra.R5).
-    """
-    trees = tuple(_as_tree(w) for w in wheels)
-    segments = [_segment_chain(t) for t in trees]
-    sizes = tuple(tree_weight(t) for t in trees)
-    out: dict = {}
-    for blocks, coeff in _arranged_faces(sizes, averaged, min_block):
-        terms = [((), coeff)]
-        for block in blocks:
-            # a block spells out as the concatenated segments of its wheels
-            spelled = [((), 1)]
-            for p in block:
-                spelled = [(seg + s, c * d) for seg, c in spelled
-                           for s, d in segments[p].items()]
-            terms = [(cell + (seg,), c * d) for cell, c in terms for seg, d in spelled]
-        for cell, c in terms:
-            out[cell] = out.get(cell, 0) + c
+    include = averaged_inclusion_q if averaged else include_permutohedron
     labels = tuple(sorted(a for t in trees for a in tree_labels(t)))
-    return ChainVector(cell_complex(labels, width), sum(sizes) - 2,
-                       {c: v for c, v in out.items() if v != 0}, validate=True)
+    return substitute(include(chain), dict(enumerate(trees, 1)), cell_complex(labels, width))
 
 
 def _filter_chain(wheels: tuple, width: Optional[int], averaged: bool) -> ChainVector:
@@ -342,7 +238,7 @@ def _filter_chain(wheels: tuple, width: Optional[int], averaged: bool) -> ChainV
         raise ValueError("a filter needs at least two wheels")
     if not admissible_sizes(sizes, width):
         raise ValueError(f"inadmissible filter: wheel sizes {sizes} at width {width}")
-    return _checked_cycle(_face_chain(trees, width, averaged))
+    return _checked_cycle(_spun(boundary(_top_cell(trees)), trees, width, averaged))
 
 
 @lru_cache(maxsize=4096)

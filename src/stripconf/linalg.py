@@ -56,13 +56,6 @@ def _divided(vec: dict, d) -> dict:
     return out
 
 
-def clear_denominators(vec: dict) -> SparseVec:
-    """Scale a rational sparse vector to a primitive integer one."""
-    out, _ = _integral(vec)
-    g = _content(out)
-    return {c: v // g for c, v in out.items()} if g > 1 else out
-
-
 class Echelon:
     """Integer row echelon with deterministic absorption.
 

@@ -1,31 +1,33 @@
-"""Chain maps between strip complexes.
+"""Chain maps between strip complexes, and the split trees that drive spins.
 
-* spin_{a:b,c} splits one label a of weight w_a into fresh labels b, c with
-  w_b + w_c = w_a.  On a symbol it substitutes `.. a ..` by `.. b c ..`
-  with the same coefficient plus `.. c b ..` with coefficient
-  (-1)^{w_b w_c - 1}.  Raises the topological degree by 1.
+* A split tree is a spin recipe: a leaf is a disk, and a node spins the
+  point of its total weight into its two sides.  `segment_chain` unwinds
+  a tree into the one-block chain the point becomes: each node of side
+  weights u, v contributes (left right) with coefficient 1 and (right
+  left) with coefficient (-1)^{uv-1}.  That recursion is the only place
+  the spin sign lives.
+* `substitute` replaces every label of an ordered chain by the segment
+  chain of its split tree, spelling each block out as the concatenated
+  segments of its labels.  Every spin map is this one substitution:
+  spin_{a:b,c} substitutes the two-leaf tree (b c) for a, spin_sigma the
+  left comb over each wheel of sigma for its axle, and spin_tau_sigma the
+  left comb over the sigma-wheels making up each wheel of tau.  Each
+  raises the topological degree by the number of labels it adds.
 * include_permutohedron realizes each unordered block in a chosen label
   order (ascending for the identity); it carries no sign.
 * averaged_inclusion_q averages the inclusions over all orderings of each
   block, weighting an ordering by its weighted sign; the projection p
   forgets the order inside blocks while multiplying by the same sign.
   p composed with q is the identity, and p kills every spin image.
-* spin_sigma expands the wheels of a permutation one disk at a time,
-  spin_tau_sigma unwinds the wheels of tau (right to left) down to the
-  wheels of sigma.  Both are one unwinding: each axle becomes its group
-  of parts (disks, or sigma's wheels), every group is peeled right to
-  left, the last group first, and the parts get their labels back.
-  wheel_expansion_program lists the steps of that same peel.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .cells import (
     ORDERED,
@@ -35,6 +37,101 @@ from .cells import (
     wsgn,
 )
 from .chains import ChainVector
+
+
+# ---------------------------------------------------------------------------
+# split trees
+
+
+@dataclass(frozen=True)
+class Leaf:
+    label: int
+
+
+@dataclass(frozen=True)
+class Node:
+    left: "WheelTree"
+    right: "WheelTree"
+
+
+WheelTree = Union[Leaf, Node]
+
+
+def comb(labels: Sequence[int]) -> WheelTree:
+    """Left comb over the labels: the proper-wheel split recipe."""
+    labels = tuple(labels)
+    if not labels:
+        raise ValueError("a wheel needs at least one disk")
+    tree: WheelTree = Leaf(labels[0])
+    for a in labels[1:]:
+        tree = Node(tree, Leaf(a))
+    return tree
+
+
+def tree_labels(tree: WheelTree) -> tuple:
+    if isinstance(tree, Leaf):
+        return (tree.label,)
+    return tree_labels(tree.left) + tree_labels(tree.right)
+
+
+def tree_weight(tree: WheelTree, weight_of=None) -> int:
+    if weight_of is None:
+        return len(tree_labels(tree))
+    return sum(weight_of(a) for a in tree_labels(tree))
+
+
+def is_left_comb(tree: WheelTree) -> bool:
+    while isinstance(tree, Node):
+        if not isinstance(tree.right, Leaf):
+            return False
+        tree = tree.left
+    return True
+
+
+def segment_chain(tree: WheelTree, weight_of) -> dict:
+    """The one-block chain a point spins out to along a split tree.
+
+    Returns {label tuple: coefficient}; `weight_of` weighs a leaf.
+    """
+    if isinstance(tree, Leaf):
+        return {(tree.label,): 1}
+    left = segment_chain(tree.left, weight_of)
+    right = segment_chain(tree.right, weight_of)
+    wl = tree_weight(tree.left, weight_of)
+    wr = tree_weight(tree.right, weight_of)
+    flip = -1 if (wl * wr - 1) % 2 == 1 else 1
+    out: dict = {}
+    for s, c in left.items():
+        for t, d in right.items():
+            out[s + t] = out.get(s + t, 0) + c * d
+            out[t + s] = out.get(t + s, 0) + c * d * flip
+    return out
+
+
+def substitute(chain: ChainVector, trees: dict, target: ComplexSpec) -> ChainVector:
+    """Spin every label x of an ordered chain out along the split tree trees[x].
+
+    Labels without a tree stay put.  `target` is the ordered complex of
+    the result, and its weights weigh the leaves; every cell of the result
+    is checked to be one of its cells.
+    """
+    if chain.spec.kind != ORDERED:
+        raise ValueError("spins act on ordered complexes")
+    segments = {x: {(x,): 1} for x in chain.spec.labels}
+    segments.update((x, segment_chain(t, target.weight)) for x, t in trees.items())
+    out: dict = {}
+    for cell, v in chain.coeffs.items():
+        terms = [((), v)]
+        for block in cell:
+            # a block spells out as the concatenated segments of its labels
+            spelled = [((), 1)]
+            for x in block:
+                spelled = [(seg + s, c * d) for seg, c in spelled
+                           for s, d in segments[x].items()]
+            terms = [(sym + (seg,), c * d) for sym, c in terms for seg, d in spelled]
+        for sym, c in terms:
+            out[sym] = out.get(sym, 0) + c
+    return ChainVector(target, chain.degree + target.n - chain.spec.n, out, validate=True)
 
 
 # ---------------------------------------------------------------------------
@@ -48,28 +145,6 @@ class SpinStep:
     c: object
     wb: int
     wc: int
-
-    def as_dict(self) -> dict:
-        enc = lambda x: list(x) if isinstance(x, tuple) else x
-        return {"a": enc(self.a), "b": enc(self.b), "c": enc(self.c),
-                "wb": self.wb, "wc": self.wc}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SpinStep":
-        dec = lambda x: tuple(x) if isinstance(x, list) else x
-        return cls(dec(d["a"]), dec(d["b"]), dec(d["c"]), d["wb"], d["wc"])
-
-
-@dataclass(frozen=True)
-class SpinProgram:
-    steps: tuple
-
-    def to_json(self) -> str:
-        return json.dumps([s.as_dict() for s in self.steps])
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpinProgram":
-        return cls(tuple(SpinStep.from_dict(d) for d in json.loads(text)))
 
 
 def spin_target(step: SpinStep, spec: ComplexSpec) -> ComplexSpec:
@@ -90,22 +165,8 @@ def spin_target(step: SpinStep, spec: ComplexSpec) -> ComplexSpec:
 
 def spin(step: SpinStep, chain: ChainVector) -> ChainVector:
     """Apply one spin step to every symbol of the chain."""
-    target = spin_target(step, chain.spec)
-    flip = -1 if (step.wb * step.wc - 1) % 2 == 1 else 1
-    out: dict = {}
-    for cell, v in chain.coeffs.items():
-        for bi, block in enumerate(cell):
-            if step.a in block:
-                p = block.index(step.a)
-                fwd = block[:p] + (step.b, step.c) + block[p + 1:]
-                rev = block[:p] + (step.c, step.b) + block[p + 1:]
-                for nb, s in ((fwd, 1), (rev, flip)):
-                    sym = cell[:bi] + (nb,) + cell[bi + 1:]
-                    out[sym] = out.get(sym, 0) + v * s
-                break
-        else:
-            raise ValueError(f"label {step.a} missing from cell")
-    return ChainVector(target, chain.degree + 1, out)
+    return substitute(chain, {step.a: Node(Leaf(step.b), Leaf(step.c))},
+                      spin_target(step, chain.spec))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +213,8 @@ def averaged_inclusion_q(chain: ChainVector) -> ChainVector:
 
     Every tuple of per-block orderings contributes with coefficient
     (product of per-block weighted signs) / (product of block factorials).
-    On singleton blocks this is the plain inclusion.
+    On singleton blocks this is the plain inclusion.  Sorting the blocks
+    of an ordering gives its cell back, so no two cells share one.
     """
     if chain.spec.kind != PERMUTOHEDRON:
         raise ValueError("averaged_inclusion_q expects a permutohedron chain")
@@ -167,8 +229,7 @@ def averaged_inclusion_q(chain: ChainVector) -> ChainVector:
             s = 1
             for b, a in zip(cell, arranged):
                 s *= wsgn(b, a, spec)
-            sym = tuple(arranged)
-            out[sym] = out.get(sym, 0) + Fraction(v) * s / denom
+            out[arranged] = Fraction(v * s, denom)
     return ChainVector(target, chain.degree, out)
 
 
@@ -195,60 +256,18 @@ def project_p(chain: ChainVector) -> ChainVector:
 # composite spins along wheel decompositions
 
 
-def _unwind_steps(groups: Sequence[tuple], weight_of) -> list:
-    """Spin steps unwinding each group of parts, the last group first.
+def _spin_axles(chain: ChainVector, dec, parts: tuple, weight_of) -> ChainVector:
+    """Spin each axle of the wheel decomposition `dec` out along the left
+    comb over its group of parts, each part weighing weight_of(part).
 
-    A group is a tuple of parts, and the labels met on the way are tuples
-    of parts; the final labels are the singleton tuples.  Every step peels
-    the last part off what is left of a group, which is exactly the
-    left-comb recipe of a proper wheel.  `weight_of` weighs one part.
-    """
-    steps = []
-    for seg in reversed(groups):
-        while len(seg) > 1:
-            head = seg[:-1]
-            steps.append(SpinStep(seg, head, seg[-1:],
-                                  sum(map(weight_of, head)), weight_of(seg[-1])))
-            seg = head
-    return steps
-
-
-def wheel_expansion_program(sigma: Sequence, weight_of=None) -> SpinProgram:
-    if weight_of is None:
-        weight_of = lambda a: 1
-    return SpinProgram(tuple(_unwind_steps(wheel_decomposition(sigma, weight_of).wheels,
-                                           weight_of)))
-
-
-def _tuple_relabel(chain: ChainVector, mapping: dict, weights: dict) -> ChainVector:
-    # all target labels share one type, so plain sort is well defined
-    labels = tuple(sorted(mapping.values()))
-    spec = ComplexSpec(ORDERED, labels, tuple(weights[x] for x in labels), chain.spec.width)
-    out = {}
-    for cell, v in chain.coeffs.items():
-        sym = tuple(tuple(mapping[a] for a in b) for b in cell)
-        out[sym] = out.get(sym, 0) + v
-    return ChainVector(spec, chain.degree, out)
-
-
-def _unwind(chain: ChainVector, dec, groups: tuple, weight_of, name) -> ChainVector:
-    """Spin each axle of the wheel decomposition `dec` out to its group of parts.
-
-    The chain must live on the axles, weighted by wheel weight.  They become
-    the groups themselves, so that no intermediate label can collide with
-    another; `_unwind_steps` peels every group down to single parts, and
-    each part p ends up as the label name(p) of weight weight_of(p).
+    The chain must live on the axles, weighted by wheel weight.
     """
     if chain.spec.labels != dec.superlabels or chain.spec.weights != dec.weights:
         raise ValueError(
             f"chain must live on labels {dec.superlabels} with weights {dec.weights}")
-    work = _tuple_relabel(chain, dict(zip(chain.spec.labels, groups)),
-                          dict(zip(groups, chain.spec.weights)))
-    for step in _unwind_steps(groups, weight_of):
-        work = spin(step, work)
-    parts = [p for group in groups for p in group]
-    return _tuple_relabel(work, {(p,): name(p) for p in parts},
-                          {name(p): weight_of(p) for p in parts})
+    labels = tuple(sorted(p for group in parts for p in group))
+    target = ComplexSpec(ORDERED, labels, tuple(map(weight_of, labels)), chain.spec.width)
+    return substitute(chain, dict(zip(dec.superlabels, map(comb, parts))), target)
 
 
 def spin_sigma(sigma: Sequence, chain: ChainVector, weight_of=None) -> ChainVector:
@@ -261,12 +280,12 @@ def spin_sigma(sigma: Sequence, chain: ChainVector, weight_of=None) -> ChainVect
     if weight_of is None:
         weight_of = lambda a: 1
     dec = wheel_decomposition(sigma, weight_of)
-    return _unwind(chain, dec, dec.wheels, weight_of, lambda a: a)
+    return _spin_axles(chain, dec, dec.wheels, weight_of)
 
 
 def spin_tau_sigma(tau: Sequence, sigma: Sequence, chain: ChainVector,
                    weight_of=None) -> ChainVector:
-    """Unwind the wheels of tau, right to left, down to the wheels of sigma.
+    """Spin each wheel of tau out to the wheels of sigma it is made of.
 
     Requires every wheel of tau to be a concatenation of wheels of sigma
     (tau in the orbit S(sigma)).  The input chain lives on tau's wheel
@@ -275,22 +294,20 @@ def spin_tau_sigma(tau: Sequence, sigma: Sequence, chain: ChainVector,
     if weight_of is None:
         weight_of = lambda a: 1
     dec_t = wheel_decomposition(tau, weight_of)
-    swheels = wheel_decomposition(sigma, weight_of).wheels
+    dec_s = wheel_decomposition(sigma, weight_of)
 
-    def chunks(wheel: tuple) -> tuple:
-        """Split one tau-wheel into the sigma-wheels composing it."""
+    def axles(wheel: tuple) -> tuple:
+        """The axles of the sigma-wheels composing one tau-wheel."""
         out, i = [], 0
         while i < len(wheel):
-            for sw in swheels:
+            for sw in dec_s.wheels:
                 if wheel[i:i + len(sw)] == sw:
-                    out.append(sw)
+                    out.append(sw[0])
                     i += len(sw)
                     break
             else:
                 raise ValueError("tau is not a concatenation of sigma's wheels")
         return tuple(out)
 
-    # the parts are sigma's wheels, each named by its axle
-    wheel_weight = {sw: sum(weight_of(a) for a in sw) for sw in swheels}
-    return _unwind(chain, dec_t, tuple(chunks(w) for w in dec_t.wheels),
-                   wheel_weight.__getitem__, lambda sw: sw[0])
+    return _spin_axles(chain, dec_t, tuple(map(axles, dec_t.wheels)),
+                       dict(zip(dec_s.superlabels, dec_s.weights)).__getitem__)

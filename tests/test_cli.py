@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from stripconf.cells import enumerate_cells
 from stripconf.cli import main, parse_permutation
 
 from test_homology import HARD_PACKING
@@ -158,6 +159,24 @@ def test_verify_generation(capsys):
     code, out, _ = run(capsys, "verify", "--scope", "generation", "--k", "1",
                        "--w", "2")
     assert code == 0
+
+
+@pytest.mark.parametrize("scope", ["boundary", "basis", "decomposition"])
+def test_verify_refuses_past_the_cap_before_enumerating(capsys, scope):
+    before = enumerate_cells.cache_info().misses
+    code, _, err = run(capsys, "verify", "--scope", scope, "--n", "3", "--w", "2",
+                       "--max-cells", "10")
+    assert code == 3
+    assert "refused:" in err
+    assert enumerate_cells.cache_info().misses == before
+
+
+@pytest.mark.parametrize("command", [["reduce", "--word", "W(2,1)"],
+                                     ["stability", "--k", "1"]])
+def test_max_cells_is_only_accepted_where_it_is_read(capsys, command):
+    with pytest.raises(SystemExit):
+        main(command + ["--w", "2", "--max-cells", "10"])
+    assert "unrecognized arguments: --max-cells" in capsys.readouterr().err
 
 
 def test_verify_generation_needs_k(capsys):

@@ -8,22 +8,17 @@ from stripconf.cycles import (
     AvgFilter,
     Filter,
     GeneratorWord,
-    Leaf,
-    Node,
     Wheel,
     WordSyntaxError,
-    _arranged_faces,
     _filter_chain,
     averaged_filter_cycle,
-    comb,
     filter_cycle,
     format_word,
-    is_left_comb,
     parse_word,
-    tree_labels,
     wheel_cycle,
     word_cycle,
 )
+from stripconf.maps import Leaf, Node, comb, is_left_comb, tree_labels
 
 from conftest import run_optimized
 
@@ -165,13 +160,6 @@ def test_filter_admissibility_enforced():
     # admissible but not trivial at width 2
     z = filter_cycle((Wheel((1,)), Wheel((2,)), Wheel((3,))), 2)
     assert is_cycle(z)
-
-
-def test_arranged_faces_min_block():
-    faces = list(_arranged_faces((1, 1, 1, 1), False, min_block=2))
-    assert len(faces) == 6
-    assert all(len(f) == 2 and len(r) == 2 for (f, r), _ in faces)
-    assert list(_arranged_faces((1, 1), False, min_block=2)) == []
 
 
 # ---------------------------------------------------------------------------

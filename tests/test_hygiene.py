@@ -4,9 +4,12 @@ Every top-level import in `src/stripconf` must be used in its module:
 read as a name, named in a string annotation, or listed in the module's
 `__all__` (which is how `__init__.py` re-exports).
 
-Every top-level function and class in `src/stripconf` must be referenced
-somewhere in the package or the tests outside its own definition: as a
-name, an attribute or an imported name, or by being listed in `__all__`.
+Every top-level function, class and alias (a module-level name bound by
+assignment) in `src/stripconf` must be referenced somewhere in the
+package or the tests outside its own definition: as a name, an attribute
+or an imported name, or by being listed in `__all__`.  The few kept only
+for the tests, referenced nowhere in the package itself, are pinned by
+name.
 
 The package's caches, `lru_cache`d functions and module-level `*_cache`
 dicts, are pinned by name, so adding or dropping one is done on purpose.
@@ -83,8 +86,18 @@ def _referenced_names(node: ast.AST) -> set:
     return refs
 
 
+def _defined_names(node: ast.stmt) -> list:
+    """Names a top-level statement defines: a def or class, or the plain
+    names an assignment binds (dunders such as `__all__` aside)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")]
+
+
 def unused_definitions(modules: dict, others=()) -> list:
-    """(module, line, name) of each unreferenced top-level def or class.
+    """(module, line, name) of each unreferenced top-level def, class or alias.
 
     `modules` maps a module name to the source whose definitions are
     checked; `others` are further sources that only count as references.
@@ -97,10 +110,10 @@ def unused_definitions(modules: dict, others=()) -> list:
     found = []
     for module, tree in trees.items():
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name not in exported
-                    and not any(node.name in names for stmt, names in refs if stmt is not node)):
-                found.append((module, node.lineno, node.name))
+            for name in _defined_names(node):
+                if name not in exported and not any(
+                        name in names for stmt, names in refs if stmt is not node):
+                    found.append((module, node.lineno, name))
     return sorted(found)
 
 
@@ -127,6 +140,16 @@ def test_no_unreferenced_top_level_definitions():
     modules = {p.stem: p.read_text() for p in MODULES}
     tests = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
     assert unused_definitions(modules, tests) == []
+
+
+# referenced by the tests only: the pinned sign-convention descriptor and
+# small helpers whose values the tests check directly
+TEST_ONLY = {"CONVENTIONS", "is_left_comb", "s_of_sigma", "wdim"}
+
+
+def test_only_pinned_definitions_live_for_the_tests_alone():
+    modules = {p.stem: p.read_text() for p in MODULES}
+    assert {name for _, _, name in unused_definitions(modules)} == TEST_ONLY
 
 
 CACHE_SITES = {
@@ -201,10 +224,26 @@ def test_definition_checker_flags_unreferenced_and_honours_all():
             "def exported(): pass\n"
             "__all__ = ['exported']\n"
         ),
-        "b": "from a import by_import\nx = by_name\n",
+        "b": "from a import by_import\nby_name()\n",
     }
     others = ["import a\na.by_attribute()\n"]
     assert unused_definitions(modules, others) == [("a", 4, "recursive"), ("a", 6, "Dead")]
+
+
+def test_definition_checker_flags_unreferenced_aliases():
+    modules = {
+        "a": (
+            "Label = int\n"
+            "Block: type = tuple\n"
+            "LIMIT = 10\n"
+            "_cache = {}\n"
+            "__version__ = '1'\n"
+            "def f(x: Label):\n"
+            "    return _cache\n"
+        ),
+        "b": "from a import f\n",
+    }
+    assert unused_definitions(modules) == [("a", 2, "Block"), ("a", 3, "LIMIT")]
 
 
 def assert_lines(source: str) -> list:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from stripconf.linalg import (
     Echelon,
-    clear_denominators,
     echelon_of_rows,
     rank_of_rows,
     solve_exact,
@@ -69,13 +68,6 @@ def reference_basis(rows):
             lead = min(v)
             basis[lead] = {c: x / v[lead] for c, x in v.items()}
     return basis
-
-
-def test_clear_denominators():
-    assert clear_denominators({}) == {}
-    assert clear_denominators({0: Fraction(1, 2), 1: Fraction(-3, 4)}) == {0: 2, 1: -3}
-    assert clear_denominators({0: 4, 2: 6}) == {0: 2, 2: 3}
-    assert clear_denominators({0: 5, 1: 0}) == {0: 1}
 
 
 def test_rank_frozen():

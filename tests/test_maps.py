@@ -5,18 +5,17 @@ import pytest
 
 from stripconf.cells import cell_complex, enumerate_cells, permutohedron, wheel_decomposition
 from stripconf.chains import ChainVector, boundary, is_cycle
-from stripconf.cycles import comb, _filter_chain
+from stripconf.cycles import _filter_chain
 from stripconf.maps import (
-    SpinProgram,
     SpinStep,
     averaged_inclusion_q,
+    comb,
     include_permutohedron,
     project_p,
     spin,
     spin_sigma,
     spin_target,
     spin_tau_sigma,
-    wheel_expansion_program,
 )
 
 from conftest import random_chain
@@ -99,14 +98,6 @@ def test_q_on_three_units_is_the_half_hexagon():
     halves = {v for v in img.coeffs.values()}
     assert halves <= {Fraction(1, 2), Fraction(-1, 2)}
     assert len(img.coeffs) == 12
-
-
-def test_wheel_expansion_program_shape():
-    prog = wheel_expansion_program((3, 1, 2, 5, 4))
-    # one step per non-axle disk
-    assert len(prog.steps) == 3
-    text = prog.to_json()
-    assert SpinProgram.from_json(text) == prog
 
 
 def test_spin_sigma_expands_axles_to_wheels():
