@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 from .cells import cell_complex, cell_index, wsgn_pairs
 from .cycles import (AvgFilter, Filter, GeneratorWord, Wheel, admissible_sizes,
                      word_cycle)
-from .homology import CertificateError, betti_number, express, image_echelon
+from .homology import CertificateError, express, image_echelon
 from .linalg import Echelon
 
 AM = "am"
@@ -100,9 +100,7 @@ def _adjacency_ok(prev, nxt, width: int, style: str) -> bool:
 def enumerate_basis(labels, width: int, degree: int, style: str = AMW,
                     ) -> Tuple[GeneratorWord, ...]:
     """All basis words of this degree, in a fixed deterministic order."""
-    if isinstance(labels, int):
-        labels = tuple(range(1, labels + 1))
-    labels = tuple(sorted(labels))
+    labels = cell_complex(labels, width).labels
     if style not in (AM, AMW):
         raise ValueError(f"unknown basis style {style!r}")
     n = len(labels)
@@ -134,8 +132,7 @@ def enumerate_basis(labels, width: int, degree: int, style: str = AMW,
                 for f in factors_on(support):
                     if prev is not None and not _adjacency_ok(prev, f, width, style):
                         continue
-                    d = f.size - 1 if isinstance(f, Wheel) else f.total - 2
-                    extend(left, f, factors + (f,), deg_left - d)
+                    extend(left, f, factors + (f,), deg_left - f.degree)
 
     extend(labels, None, (), degree)
     return tuple(sorted(words, key=lambda w: (_word_class(w), str(w))))
@@ -191,17 +188,15 @@ def verify_basis(labels, width: int, degree: int, style: str = AMW) -> BasisRepo
     """Count the basis words against betti and check independence.
 
     Independence is checked modulo boundaries: the word cycles are reduced
-    against the image echelon and must stay linearly independent.
+    against the image echelon and must stay linearly independent.  The
+    Betti number comes from the ranks of that echelon and the one below.
     """
-    if isinstance(labels, int):
-        labels = tuple(range(1, labels + 1))
-    labels = tuple(sorted(labels))
-    words = enumerate_basis(labels, width, degree, style)
     spec = cell_complex(labels, width)
-    # the echelon first: betti_number then reads its rank from the cache
+    labels = spec.labels
+    words = enumerate_basis(labels, width, degree, style)
     ech = image_echelon(spec, degree)
-    b = betti_number(spec, degree)
     index = cell_index(spec, degree)
+    b = len(index) - image_echelon(spec, degree - 1).rank - ech.rank
     small = Echelon()
     independent = True
     for w in words:
@@ -283,9 +278,7 @@ def basis_change(labels, width: int, degree: int) -> BasisChange:
     and averaged filters expand as the plain filter plus two-wheel
     corrections.
     """
-    if isinstance(labels, int):
-        labels = tuple(range(1, labels + 1))
-    labels = tuple(sorted(labels))
+    labels = cell_complex(labels, width).labels
     amw_words = enumerate_basis(labels, width, degree, AMW)
     am_words = enumerate_basis(labels, width, degree, AM)
     am_cycles = [basis_cycle(w, width) for w in am_words]

@@ -145,16 +145,20 @@ def _refuse_past_cap(spec, max_cells: int):
 
 
 def _cmd_verify(args) -> int:
+    if args.max_cells is not None and args.scope in ("relations", "generation"):
+        raise ValueError(f"--max-cells does not apply to --scope {args.scope}, "
+                         "which enumerates no complex")
+    max_cells = DEFAULT_MAX_CELLS if args.max_cells is None else args.max_cells
     results = []
     if args.scope == "boundary":
         spec = _spec_from_args(args)
-        _refuse_past_cap(spec, args.max_cells)
+        _refuse_past_cap(spec, max_cells)
         rep = verify_boundary_squared(spec)
         results.append((f"boundary^2 {spec.describe()}", rep.ok))
     elif args.scope == "basis":
         if args.n is None:
             raise ValueError("--scope basis needs --n")
-        _refuse_past_cap(cell_complex(args.n, args.w), args.max_cells)
+        _refuse_past_cap(cell_complex(args.n, args.w), max_cells)
         styles = [AM, AMW] if args.style == "both" else [args.style]
         degrees = ([args.degree] if args.degree is not None
                    else list(range(args.n)))
@@ -170,8 +174,8 @@ def _cmd_verify(args) -> int:
     elif args.scope == "decomposition":
         if args.n is None:
             raise ValueError("--scope decomposition needs --n")
-        _refuse_past_cap(cell_complex(args.n, args.w), args.max_cells)
-        rep = decomposition_check(args.n, args.w, max_cells=args.max_cells)
+        _refuse_past_cap(cell_complex(args.n, args.w), max_cells)
+        rep = decomposition_check(args.n, args.w, max_cells=max_cells)
         results.append((f"decomposition n={args.n} w={args.w} "
                         f"({rep.sectors} sectors)", rep.ok))
     elif args.scope == "generation":
@@ -257,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="strip width")
         p.add_argument("--format", choices=("table", "json"), default="table")
 
-    def capped(p):
-        p.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS,
+    def capped(p, default=DEFAULT_MAX_CELLS):
+        p.add_argument("--max-cells", type=int, default=default,
                        help="refuse complexes larger than this")
 
     p = sub.add_parser("betti", help="Betti numbers of a configuration complex")
@@ -275,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     common(p)
-    capped(p)
+    capped(p, None)  # read by the boundary, basis and decomposition scopes only
     p.add_argument("--scope", required=True,
                    choices=("boundary", "basis", "relations",
                             "decomposition", "generation"))

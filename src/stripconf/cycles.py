@@ -4,8 +4,8 @@ There is one construction: a permutohedron chain on wheel positions,
 taken into the ordered complex, with every position spun out along its
 wheel's split tree (`maps.substitute`).
 
-A wheel is a point spun out by a split tree over its disk labels
-(`maps.segment_chain`, where the spin sign lives).  The proper wheel
+A wheel is the top cell on one position spun out by a split tree over
+its disk labels (`maps` holds the spin sign).  The proper wheel
 W(i1,...,in) is the left comb peeling the last entry at every step, so
 for example W(2,1) is the chain `2 1` + `1 2`.
 
@@ -41,8 +41,7 @@ from .cells import cell_complex, permutohedron
 from .chains import ChainVector, boundary, concat_all, is_cycle
 from .homology import CertificateError
 from .maps import (Leaf, Node, WheelTree, averaged_inclusion_q, comb,
-                   include_permutohedron, segment_chain, substitute, tree_labels,
-                   tree_weight)
+                   include_permutohedron, substitute, tree_labels, tree_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +67,10 @@ class Wheel:
     @property
     def size(self) -> int:
         return len(self.labels)
+
+    @property
+    def degree(self) -> int:
+        return self.size - 1
 
     def is_proper(self) -> bool:
         return self.labels[0] == self.top
@@ -115,6 +118,10 @@ class Filter:
     def total(self) -> int:
         return sum(self.sizes)
 
+    @property
+    def degree(self) -> int:
+        return self.total - 2
+
     def least_wheel(self) -> Wheel:
         return min(self.wheels, key=Wheel.rank_key)
 
@@ -158,10 +165,7 @@ class GeneratorWord:
         return tuple(sorted(out))
 
     def degree(self) -> int:
-        d = 0
-        for f in self.factors:
-            d += f.size - 1 if isinstance(f, Wheel) else f.total - 2
-        return d
+        return sum(f.degree for f in self.factors)
 
     def __str__(self):
         return "|".join(str(f) for f in self.factors) if self.factors else "1"
@@ -181,15 +185,7 @@ def _as_tree(w) -> WheelTree:
 
 @lru_cache(maxsize=4096)
 def _wheel_cycle_cached(tree: WheelTree, width: Optional[int], weights: Optional[tuple]):
-    labels = tree_labels(tree)
-    weight_of = (lambda a: 1) if weights is None else dict(zip(labels, weights)).__getitem__
-    total = tree_weight(tree, weight_of)
-    if width is not None and total > width:
-        raise ValueError(f"wheel of total weight {total} does not fit in width {width}")
-    spec = cell_complex(labels, width,
-                        None if weights is None else {a: weight_of(a) for a in labels})
-    coeffs = {(seg,): c for seg, c in segment_chain(tree, weight_of).items()}
-    return _checked_cycle(ChainVector(spec, len(labels) - 1, coeffs, validate=True))
+    return _checked_cycle(_spun(_top_cell((tree,)), (tree,), width, weights=weights))
 
 
 def wheel_cycle(wheel, width: Optional[int], weights: Optional[dict] = None) -> ChainVector:
@@ -197,7 +193,7 @@ def wheel_cycle(wheel, width: Optional[int], weights: Optional[dict] = None) -> 
     tree = _as_tree(wheel)
     wt = None
     if weights is not None:
-        wt = tuple(weights[a] for a in tree_labels(tree))
+        wt = tuple(weights[a] for a in sorted(tree_labels(tree)))
     return _wheel_cycle_cached(tree, width, wt)
 
 
@@ -218,16 +214,19 @@ def _top_cell(trees: tuple) -> ChainVector:
 
 
 def _spun(chain: ChainVector, trees: tuple, width: Optional[int],
-          averaged: bool = False) -> ChainVector:
+          averaged: bool = False, weights: Optional[tuple] = None) -> ChainVector:
     """A permutohedron chain on wheel positions, spun out to disks.
 
     The chain goes into the ordered complex through the identity
     inclusion, or through the block-averaging map q when `averaged`, and
-    position p is then spun out along the p-th tree.
+    position p is then spun out along the p-th tree.  `weights` weigh the
+    disks in ascending label order (default: unit), and a block of the
+    result that does not fit the width raises ValueError.
     """
     include = averaged_inclusion_q if averaged else include_permutohedron
     labels = tuple(sorted(a for t in trees for a in tree_labels(t)))
-    return substitute(include(chain), dict(enumerate(trees, 1)), cell_complex(labels, width))
+    return substitute(include(chain), dict(enumerate(trees, 1)),
+                      cell_complex(labels, width, weights))
 
 
 def _filter_chain(wheels: tuple, width: Optional[int], averaged: bool) -> ChainVector:

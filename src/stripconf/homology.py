@@ -1,8 +1,8 @@
 """Rational homology of the strip complexes.
 
 Betti numbers come from exact ranks of the boundary matrices:
-betti_k = #cells_k - rank d_k - rank d_{k+1}.  Ranks take one of two
-routes, each refused up front by its own guard:
+betti_k = #cells_k - rank d_k - rank d_{k+1}.  Every rank takes the one
+guarded route of `_blocks`, picked by the kind of complex alone:
 
 * unit-weight ordered complexes (any label set, any width, None
   included) are ranked per irreducible by the isotypic blocks of
@@ -11,8 +11,7 @@ routes, each refused up front by its own guard:
   enumerating them.  `isotypic_profile` builds every profile of such a
   complex, and also reports the multiplicity of every irreducible in every
   degree.  The guard counts block rows: m_k orbits times the sum of the f
-  of the irreducibles, in every degree.  Only a request whose degrees all
-  have a cached cell-level echelon reads the ranks from those instead.
+  of the irreducibles, in every degree.
 * every other complex (weighted labels, permutohedra) is ranked by
   cell-level echelons, built and cached.  The guard counts cells: exactly
   (kind- and width-aware) for unit weights, and the unrestricted count,
@@ -149,17 +148,26 @@ def _isotypic(spec: ComplexSpec) -> bool:
     return spec.kind == ORDERED and all(w == 1 for w in spec.weights)
 
 
-def _ranks(spec: ComplexSpec, degrees) -> dict:
-    """{k: rank d_k} for degrees 1 <= k <= top.
-
-    Unit-weight ordered complexes are ranked per irreducible, all degrees
-    together, unless every degree has a cached cell-level echelon; every
-    other request reads (and builds and caches) cell-level echelons.
+def _blocks(spec: ComplexSpec, degrees, max_cells: int) -> list:
+    """[(shape, f, {k: rank})] whose f-weighted sum is rank d_k, for the
+    asked k in 1..top: a block per irreducible (`block_ranks`) on
+    unit-weight ordered complexes, else one block of cell-level echelon
+    ranks.  Refused first when degrees k-1 and k of the asked k exceed
+    `max_cells` (in block rows or cells): the top is searched for after.
     """
-    if _isotypic(spec) and not all((spec, k - 1) in _image_cache for k in degrees):
-        blocks = block_ranks(spec, degrees)
-        return {k: sum(f * block[k] for _, f, block in blocks) for k in degrees}
-    return {k: image_echelon(spec, k - 1).rank for k in degrees}
+    bound = _top_bound(spec)
+    _guard(spec, {d for k in degrees if 0 <= k <= bound for d in (k - 1, k) if d >= 0},
+           max_cells, cells=False)
+    degrees = [k for k in degrees if 1 <= k <= bound and k <= spec.top_degree()]
+    if _isotypic(spec):
+        return block_ranks(spec, degrees)
+    return [(None, 1, {k: image_echelon(spec, k - 1).rank for k in degrees})]
+
+
+def _ranks(spec: ComplexSpec, degrees, max_cells: int) -> dict:
+    """{k: rank d_k} for the asked degrees, through the route of _blocks."""
+    blocks = _blocks(spec, degrees, max_cells)
+    return {k: sum(f * block.get(k, 0) for _, f, block in blocks) for k in degrees}
 
 
 def boundary_rank(spec: ComplexSpec, degree: int,
@@ -169,12 +177,7 @@ def boundary_rank(spec: ComplexSpec, degree: int,
     Refused when degrees degree-1 and degree exceed `max_cells`, counted
     as betti_number counts them, before the top degree is searched for.
     """
-    if not 1 <= degree <= _top_bound(spec):
-        return 0
-    _guard(spec, (degree - 1, degree), max_cells, cells=False)
-    if degree > spec.top_degree():
-        return 0
-    return _ranks(spec, [degree])[degree]
+    return _ranks(spec, [degree], max_cells)[degree]
 
 
 def _cell_count(spec: ComplexSpec, degree: int) -> int:
@@ -220,27 +223,22 @@ def homology_profile(spec: ComplexSpec,
     """
     if _isotypic(spec):
         return isotypic_profile(spec, max_cells).profile
-    _guard(spec, range(_top_bound(spec) + 1), max_cells)
+    ranks = _ranks(spec, range(_top_bound(spec) + 1), max_cells)
     top = spec.top_degree()
     if top < 0:
         return HomologyProfile(spec, (), (), (0,))
     cells = tuple(_cell_count(spec, d) for d in range(top + 1))
-    ranks = (0, *_ranks(spec, range(1, top + 1)).values(), 0)
+    ranks = (*(ranks[k] for k in range(top + 1)), 0)
     return HomologyProfile(spec, _betti(cells, ranks), cells, ranks)
 
 
 def betti_number(spec: ComplexSpec, degree: int,
                  max_cells: int = DEFAULT_MAX_CELLS) -> int:
     """One Betti number without computing the whole profile."""
-    bound = _top_bound(spec)
-    if not 0 <= degree <= bound:
+    if not 0 <= degree <= _top_bound(spec):
         return 0
-    _guard(spec, [d for d in (degree - 1, degree, degree + 1) if 0 <= d <= bound],
-           max_cells, cells=False)
-    top = spec.top_degree()
-    ranks = _ranks(spec, [d for d in (degree, degree + 1) if 1 <= d <= top])
-    return (_cell_count(spec, degree) - ranks.get(degree, 0)
-            - ranks.get(degree + 1, 0))
+    ranks = _ranks(spec, (degree, degree + 1), max_cells)
+    return _cell_count(spec, degree) - ranks[degree] - ranks[degree + 1]
 
 
 @dataclass(frozen=True)
@@ -277,12 +275,12 @@ def isotypic_profile(spec: ComplexSpec,
     if not _isotypic(spec):
         raise ValueError("isotypic profiles need unit weights and ordered blocks, "
                          f"not {spec.describe()}")
+    blocks = _blocks(spec, range(_top_bound(spec) + 1), max_cells)
     top = spec.top_degree()
-    _guard(spec, range(top + 1), max_cells, cells=False)
     counts = [len(orbits(spec, k)) for k in range(top + 1)]
     shapes, dims, columns = [], [], []
     ranks = [0] * (top + 2)
-    for shape, f, block in block_ranks(spec, range(1, top + 1)):
+    for shape, f, block in blocks:
         shapes.append(shape)
         dims.append(f)
         columns.append(_betti([m * f for m in counts],

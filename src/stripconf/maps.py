@@ -1,5 +1,7 @@
 """Chain maps between strip complexes, and the split trees that drive spins.
 
+Every map here sends a cell to the product of its blocks' images (`_blockwise`).
+
 * A split tree is a spin recipe: a leaf is a disk, and a node spins the
   point of its total weight into its two sides.  `segment_chain` unwinds
   a tree into the one-block chain the point becomes: each node of side
@@ -7,14 +9,16 @@
   left) with coefficient (-1)^{uv-1}.  That recursion is the only place
   the spin sign lives.
 * `substitute` replaces every label of an ordered chain by the segment
-  chain of its split tree, spelling each block out as the concatenated
-  segments of its labels.  Every spin map is this one substitution:
-  spin_{a:b,c} substitutes the two-leaf tree (b c) for a, spin_sigma the
-  left comb over each wheel of sigma for its axle, and spin_tau_sigma the
-  left comb over the sigma-wheels making up each wheel of tau.  Each
-  raises the topological degree by the number of labels it adds.
+  chain of its split tree: the image of a block is the product of its
+  labels' segments, concatenated.  Every spin map is this one
+  substitution: spin_{a:b,c} substitutes the two-leaf tree (b c) for a,
+  spin_sigma the left comb over each wheel of sigma for its axle, and
+  spin_tau_sigma the left comb over the sigma-wheels making up each wheel
+  of tau.  Each raises the topological degree by the number of labels it
+  adds.
 * include_permutohedron realizes each unordered block in a chosen label
-  order (ascending for the identity); it carries no sign.
+  order, signed by the weighted sign of the rearrangement (+1 for the
+  ascending identity order).
 * averaged_inclusion_q averages the inclusions over all orderings of each
   block, weighting an ordering by its weighted sign; the projection p
   forgets the order inside blocks while multiplying by the same sign.
@@ -26,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Optional, Sequence, Union
 
 from .cells import (
@@ -108,6 +112,23 @@ def segment_chain(tree: WheelTree, weight_of) -> dict:
     return out
 
 
+def _blockwise(terms, image) -> dict:
+    """Send each (cell, coefficient) term to the product of its blocks'
+    images, image(block) -> {block': coefficient}, and sum them."""
+    out: dict = {}
+    images: dict = {}  # blocks recur across cells; each is imaged once
+    for cell, v in terms:
+        products = [((), v)]
+        for block in cell:
+            if block not in images:
+                images[block] = image(block)
+            products = [(sym + (b,), c * d) for sym, c in products
+                        for b, d in images[block].items()]
+        for sym, c in products:
+            out[sym] = out.get(sym, 0) + c
+    return out
+
+
 def substitute(chain: ChainVector, trees: dict, target: ComplexSpec) -> ChainVector:
     """Spin every label x of an ordered chain out along the split tree trees[x].
 
@@ -119,18 +140,12 @@ def substitute(chain: ChainVector, trees: dict, target: ComplexSpec) -> ChainVec
         raise ValueError("spins act on ordered complexes")
     segments = {x: {(x,): 1} for x in chain.spec.labels}
     segments.update((x, segment_chain(t, target.weight)) for x, t in trees.items())
-    out: dict = {}
-    for cell, v in chain.coeffs.items():
-        terms = [((), v)]
-        for block in cell:
-            # a block spells out as the concatenated segments of its labels
-            spelled = [((), 1)]
-            for x in block:
-                spelled = [(seg + s, c * d) for seg, c in spelled
-                           for s, d in segments[x].items()]
-            terms = [(sym + (seg,), c * d) for sym, c in terms for seg, d in spelled]
-        for sym, c in terms:
-            out[sym] = out.get(sym, 0) + c
+
+    def spelled(block):
+        # a block spells out as the concatenated segments of its labels
+        return {sum(segs, ()): c for segs, c in _blockwise([(block, 1)], segments.get).items()}
+
+    out = _blockwise(chain.coeffs.items(), spelled)
     return ChainVector(target, chain.degree + target.n - chain.spec.n, out, validate=True)
 
 
@@ -177,6 +192,15 @@ def _as_kind(spec: ComplexSpec, kind: str) -> ComplexSpec:
     return spec if spec.kind == kind else ComplexSpec(kind, spec.labels, spec.weights, spec.width)
 
 
+def _arranged(spec: ComplexSpec, key=None):
+    """The block image that sorts a block by `key`, signed by the weighted
+    sign of that rearrangement."""
+    def image(block):
+        arranged = tuple(sorted(block, key=key))
+        return {arranged: wsgn(block, arranged, spec)}
+    return image
+
+
 def include_permutohedron(chain: ChainVector, order: Optional[Sequence] = None) -> ChainVector:
     """Inclusion of a permutohedron chain into the ordered complex.
 
@@ -187,7 +211,6 @@ def include_permutohedron(chain: ChainVector, order: Optional[Sequence] = None) 
     """
     if chain.spec.kind != PERMUTOHEDRON:
         raise ValueError("include_permutohedron expects a permutohedron chain")
-    target = _as_kind(chain.spec, ORDERED)
     spec = chain.spec
     if order is None:
         order = spec.labels
@@ -195,17 +218,8 @@ def include_permutohedron(chain: ChainVector, order: Optional[Sequence] = None) 
     if tuple(sorted(order)) != spec.labels:
         raise ValueError("order must be a permutation of the label set")
     pos = {a: i for i, a in enumerate(order)}
-    out: dict = {}
-    for cell, v in chain.coeffs.items():
-        s = 1
-        sym = []
-        for b in cell:
-            arranged = tuple(sorted(b, key=pos.get))
-            s *= wsgn(b, arranged, spec)
-            sym.append(arranged)
-        sym = tuple(sym)
-        out[sym] = out.get(sym, 0) + v * s
-    return ChainVector(target, chain.degree, out)
+    return ChainVector(_as_kind(spec, ORDERED), chain.degree,
+                       _blockwise(chain.coeffs.items(), _arranged(spec, pos.get)))
 
 
 def averaged_inclusion_q(chain: ChainVector) -> ChainVector:
@@ -218,38 +232,21 @@ def averaged_inclusion_q(chain: ChainVector) -> ChainVector:
     """
     if chain.spec.kind != PERMUTOHEDRON:
         raise ValueError("averaged_inclusion_q expects a permutohedron chain")
-    target = _as_kind(chain.spec, ORDERED)
     spec = chain.spec
-    out: dict = {}
-    for cell, v in chain.coeffs.items():
-        denom = 1
-        for b in cell:
-            denom *= factorial(len(b))
-        for arranged in itertools.product(*(itertools.permutations(b) for b in cell)):
-            s = 1
-            for b, a in zip(cell, arranged):
-                s *= wsgn(b, a, spec)
-            out[arranged] = Fraction(v * s, denom)
-    return ChainVector(target, chain.degree, out)
+    signed = _blockwise(chain.coeffs.items(), lambda block: {
+        a: wsgn(block, a, spec) for a in itertools.permutations(block)})
+    # an ordering has the block sizes of its cell, so it knows its denominator
+    return ChainVector(_as_kind(spec, ORDERED), chain.degree,
+                       {a: Fraction(c, prod(map(factorial, map(len, a))))
+                        for a, c in signed.items()})
 
 
 def project_p(chain: ChainVector) -> ChainVector:
     """Forget the order inside blocks, multiplying by the weighted sign."""
     if chain.spec.kind != ORDERED:
         raise ValueError("project_p expects an ordered-complex chain")
-    target = _as_kind(chain.spec, PERMUTOHEDRON)
-    spec = chain.spec
-    out: dict = {}
-    for cell, v in chain.coeffs.items():
-        s = 1
-        sym = []
-        for b in cell:
-            sb = tuple(sorted(b))
-            s *= wsgn(b, sb, spec)
-            sym.append(sb)
-        sym = tuple(sym)
-        out[sym] = out.get(sym, 0) + v * s
-    return ChainVector(target, chain.degree, out)
+    return ChainVector(_as_kind(chain.spec, PERMUTOHEDRON), chain.degree,
+                       _blockwise(chain.coeffs.items(), _arranged(chain.spec)))
 
 
 # ---------------------------------------------------------------------------

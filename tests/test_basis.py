@@ -17,6 +17,7 @@ from stripconf.basis import (
 from stripconf.cells import cell_complex
 from stripconf.chains import is_cycle
 from stripconf.cycles import AvgFilter, Filter, Wheel
+import stripconf.homology as homology
 from stripconf.homology import betti_number
 
 
@@ -86,6 +87,17 @@ def test_verify_basis_reports_ok():
         assert "ok" in str(rep)
     rep = verify_basis(4, 3, 2, AMW)
     assert rep.ok
+
+
+def test_verify_basis_reads_betti_from_its_echelons_in_any_order(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_basis ranked isotypic blocks")
+
+    monkeypatch.setattr(homology, "_image_cache", {})
+    monkeypatch.setattr(homology, "block_ranks", refuse)
+    reports = [verify_basis(5, 3, k) for k in (3, 2, 1, 0)]
+    assert [rep.betti for rep in reports] == [40, 169, 10, 1]
+    assert all(rep.ok for rep in reports)
 
 
 def test_basis_cycles_live_in_the_right_complex():

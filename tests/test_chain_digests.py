@@ -1,12 +1,14 @@
 """Pinned digests of the generator chains and the spin maps.
 
-Every filter, averaged filter, relation witness and spin output below is
-serialised exactly (complex, degree, every term with its coefficient in
-canonical cell order) and hashed per family.  The digests were recorded
-from the earlier, separate implementations of these maps (a face
-arrangement for the filters, a step-by-step unwinding for the spins), so
-a change to any sign, coefficient or term fails here even when two
-routes through the current code still agree with each other.
+Every filter, averaged filter, relation witness, spin output, projection
+p and ordered inclusion of a permutohedron below is serialised exactly
+(complex, degree, every term with its coefficient in canonical cell
+order) and hashed per family.  The digests were recorded from the
+earlier, separate implementations of these maps (a face arrangement for
+the filters, a step-by-step unwinding for the spins, a loop of its own
+for each block map), so a change to any sign, coefficient or term fails
+here even when two routes through the current code still agree with
+each other.
 
 Regenerate the table with `python tests/test_chain_digests.py` only when
 a convention is changed on purpose.
@@ -19,9 +21,10 @@ import random
 import pytest
 
 from stripconf.algebra import r2_instance, r5_instance
-from stripconf.cells import cell_complex, s_of_sigma, wheel_decomposition
+from stripconf.cells import cell_complex, permutohedron, s_of_sigma, wheel_decomposition
 from stripconf.cycles import Leaf, Node, Wheel, averaged_filter_cycle, filter_cycle, wheel_cycle
-from stripconf.maps import SpinStep, spin, spin_sigma, spin_tau_sigma
+from stripconf.maps import (SpinStep, include_permutohedron, project_p, spin, spin_sigma,
+                            spin_tau_sigma)
 
 from conftest import random_chain, wheels_on_blocks
 
@@ -133,6 +136,33 @@ def _spin_tau_sigma():
                                f"{_chain_text(spin_tau_sigma(tau, sigma, z, weight_of))}")
 
 
+def _block_map_chains(make, seed):
+    """(text, chain, rng): seeded chains of `make` in every degree, on 2-5
+    labels of every weight rule, at widths None and 4."""
+    rng = random.Random(seed)
+    for name, weight_of in _weight_rules().items():
+        for n in (2, 3, 4, 5):
+            labels = tuple(range(1, n + 1))
+            for width in (None, 4):
+                spec = make(labels, width, {a: weight_of(a) for a in labels})
+                for d, _ in itertools.product(range(spec.top_degree() + 1), range(3)):
+                    yield f"{name} {width} d={d}", random_chain(spec, d, rng), rng
+
+
+def _project_p():
+    for text, z, _ in _block_map_chains(cell_complex, 1104):
+        yield f"{text}\n{_chain_text(project_p(z))}"
+
+
+def _include_permutohedron():
+    for text, z, rng in _block_map_chains(permutohedron, 1105):
+        labels = z.spec.labels
+        order = labels
+        while order == labels:  # a seeded order other than the identity
+            order = tuple(rng.sample(labels, len(labels)))
+        yield f"{text} {order}\n{_chain_text(include_permutohedron(z, order))}"
+
+
 FAMILIES = {
     "filter": lambda: _filters(filter_cycle),
     "averaged_filter": lambda: _filters(averaged_filter_cycle),
@@ -142,6 +172,8 @@ FAMILIES = {
     "spin": _spin,
     "spin_sigma": _spin_sigma,
     "spin_tau_sigma": _spin_tau_sigma,
+    "project_p": _project_p,
+    "include_permutohedron": _include_permutohedron,
 }
 
 
@@ -160,6 +192,8 @@ DIGESTS = {
     'spin': (111, '0059baa5166befc5486c1daf25698ce56e3a7ac2c05505a484d3f2b6bc53e3f4'),
     'spin_sigma': (1384, 'e77d8d176282c0ad39d411328ee8fe0dc3dc43eec92f6829a307e9f36eff7f49'),
     'spin_tau_sigma': (5801, 'e7d454a0fcfd0e4a971f9bed62a692339554b21803f1f79c38bb501d4053c05d'),
+    'project_p': (228, '3871906880b068ec0b5ffe2b3cd4da643989b81af318a1c11c5a19adfa1d5701'),
+    'include_permutohedron': (228, 'd100f3ed36a14c1d95fca902481d927d1757c366dd1bebbd8180b486dce0ed78'),
 }
 
 

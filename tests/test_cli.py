@@ -172,10 +172,18 @@ def test_verify_refuses_past_the_cap_before_enumerating(capsys, scope):
 
 
 @pytest.mark.parametrize("command", [["reduce", "--word", "W(2,1)"],
-                                     ["stability", "--k", "1"]])
+                                     ["stability", "--k", "1"],
+                                     ["verify", "--scope", "relations"],
+                                     ["verify", "--scope", "generation", "--k", "1"]])
 def test_max_cells_is_only_accepted_where_it_is_read(capsys, command):
+    argv = command + ["--w", "2", "--max-cells", "10"]
+    if command[0] == "verify":
+        # the verify scopes that enumerate no complex refuse the cap as bad usage
+        assert main(argv) == 2
+        assert "--max-cells does not apply" in capsys.readouterr().err
+        return
     with pytest.raises(SystemExit):
-        main(command + ["--w", "2", "--max-cells", "10"])
+        main(argv)
     assert "unrecognized arguments: --max-cells" in capsys.readouterr().err
 
 

@@ -123,45 +123,21 @@ def test_profile_ranks_without_cells(monkeypatch):
     assert not any(key[0] == spec for key in homology._image_cache)
 
 
-def test_a_cached_echelon_gives_its_rank(monkeypatch):
-    spec = cell_complex(4, 3)
-    ech = image_echelon(spec, 1)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("ranked blocks despite a cached echelon")
-
-    monkeypatch.setattr(homology, "block_ranks", refuse)
-    assert boundary_rank(spec, 2) == ech.rank == 43
-    assert betti_number(spec, 2) == 29
-
-
-def test_rank_route_takes_echelons_only_when_every_degree_has_one(monkeypatch):
+def test_unit_weight_ordered_ranks_take_the_blocks_despite_cached_echelons(monkeypatch):
     monkeypatch.setattr(homology, "_image_cache", {})
     spec = cell_complex(5, 3)
+    echelons = [image_echelon(spec, k) for k in range(spec.top_degree() + 1)]
     asked = []
 
     def spy(spec, degrees):
         asked.append(list(degrees))
         return block_ranks(spec, degrees)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("built an echelon despite the isotypic blocks")
-
-    # one of the two degrees cached: the blocks rank both, no echelon is built
-    ech = image_echelon(spec, 1)
     monkeypatch.setattr(homology, "block_ranks", spy)
-    monkeypatch.setattr(homology, "echelon_of_rows", refuse)
-    assert homology._ranks(spec, [2, 3])[2] == ech.rank
+    assert boundary_rank(spec, 2) == echelons[1].rank
     assert betti_number(spec, 2) == 169
-    assert asked == [[2, 3], [2, 3]]
-    monkeypatch.undo()
-
-    # both cached: the echelons give the ranks, no block is ranked
-    monkeypatch.setattr(homology, "_image_cache", {(spec, 1): ech})
-    top = image_echelon(spec, 2)
-    monkeypatch.setattr(homology, "block_ranks", refuse)
-    assert homology._ranks(spec, [2, 3]) == {2: ech.rank, 3: top.rank}
-    assert betti_number(spec, 2) == 169
+    assert homology_profile(spec).betti == (1, 10, 169, 40)
+    assert asked == [[2], [2, 3], [1, 2, 3]]
 
 
 def test_weighted_and_permutohedra_stay_cell_level():
