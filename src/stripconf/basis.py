@@ -31,11 +31,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .cells import cell_complex, cell_index, wsgn_pairs
+from .cells import cell_complex, wsgn_pairs
 from .cycles import (AvgFilter, Filter, GeneratorWord, Wheel, admissible_sizes,
                      word_cycle)
-from .homology import CertificateError, express, image_echelon
-from .linalg import Echelon
+from .homology import (DEFAULT_MAX_CELLS, CertificateError, _betti_rule, _express,
+                       _modulo_boundaries)
 
 AM = "am"
 AMW = "amw"
@@ -103,18 +103,14 @@ def enumerate_basis(labels, width: int, degree: int, style: str = AMW,
     labels = cell_complex(labels, width).labels
     if style not in (AM, AMW):
         raise ValueError(f"unknown basis style {style!r}")
-    n = len(labels)
     words: List[GeneratorWord] = []
 
     factors_cache: Dict[tuple, list] = {}
 
     def factors_on(support: tuple) -> list:
         if support not in factors_cache:
-            fs = []
-            if len(support) <= width:
-                fs.extend(_proper_wheels_on(support))
-            fs.extend(_filters_on(support, width, style))
-            factors_cache[support] = fs
+            wheels = _proper_wheels_on(support) if len(support) <= width else []
+            factors_cache[support] = wheels + _filters_on(support, width, style)
         return factors_cache[support]
 
     def extend(remaining: tuple, prev, factors: tuple, deg_left: int):
@@ -184,32 +180,24 @@ class BasisReport:
                 f"independent={self.independent} [{verdict}]")
 
 
-def verify_basis(labels, width: int, degree: int, style: str = AMW) -> BasisReport:
+def verify_basis(labels, width: int, degree: int, style: str = AMW,
+                 max_cells: int = DEFAULT_MAX_CELLS) -> BasisReport:
     """Count the basis words against betti and check independence.
 
-    Independence is checked modulo boundaries: the word cycles are reduced
-    against the image echelon and must stay linearly independent.  The
-    Betti number comes from the ranks of that echelon and the one below.
+    Independence is checked modulo boundaries: the word cycles, reduced
+    modulo the image of d_{degree+1}, must keep full rank.  The Betti
+    number comes from the ranks of that image and the one below.  Refused
+    before any word cycle is built when degrees degree-1 and degree, or
+    degree and degree+1, exceed `max_cells` cells.
     """
     spec = cell_complex(labels, width)
-    labels = spec.labels
-    words = enumerate_basis(labels, width, degree, style)
-    ech = image_echelon(spec, degree)
-    index = cell_index(spec, degree)
-    b = len(index) - image_echelon(spec, degree - 1).rank - ech.rank
-    small = Echelon()
-    independent = True
-    for w in words:
-        cyc = basis_cycle(w, width)
-        if cyc.spec != spec or cyc.degree != degree:
-            raise CertificateError(f"the cycle of {w} lives outside {spec.describe()}, "
-                                   f"degree {degree}")
-        res = ech.residue(cyc.to_column(index))
-        if not res or not small.absorb(res):
-            independent = False
-            break
-    return BasisReport(labels, width, degree, style,
-                       len(words), b, independent)
+    words = enumerate_basis(spec.labels, width, degree, style)
+    _, below, _ = _modulo_boundaries(spec, degree - 1, (), max_cells)
+    index, image, residues = _modulo_boundaries(
+        spec, degree, (basis_cycle(w, width) for w in words), max_cells)
+    betti = _betti_rule(len(index), below.rank, image.rank)
+    return BasisReport(spec.labels, width, degree, style, len(words), betti,
+                       residues.rank == len(words))
 
 
 # ---------------------------------------------------------------------------
@@ -278,34 +266,34 @@ def basis_change(labels, width: int, degree: int) -> BasisChange:
     and averaged filters expand as the plain filter plus two-wheel
     corrections.
     """
-    labels = cell_complex(labels, width).labels
+    spec = cell_complex(labels, width)
+    labels = spec.labels
     amw_words = enumerate_basis(labels, width, degree, AMW)
     am_words = enumerate_basis(labels, width, degree, AM)
     am_cycles = [basis_cycle(w, width) for w in am_words]
+    reduced = _modulo_boundaries(spec, degree, am_cycles, DEFAULT_MAX_CELLS)
     rows = []
     for w in amw_words:
-        result = express(basis_cycle(w, width), am_cycles)
+        result = _express(basis_cycle(w, width), am_cycles, *reduced)
         if not result.ok:
             raise CertificateError(f"{w} is not an am combination")
         rows.append(result.coefficients)
-    triangular: Optional[bool] = None
-    if degree == len(labels) - 2 and amw_words:
-        triangular = len(amw_words) == len(am_words)
-        col_of = {a: j for j, a in enumerate(am_words)}
-        level = {a: _pair_level(a) for a in am_words}
-        for w, row in zip(amw_words, rows):
-            if triangular is False:
-                break
-            partner = _am_partner(w)
-            if partner is None or partner not in col_of:
-                triangular = False
-                break
-            if row[col_of[partner]] != _pairing_sign(w):
-                triangular = False
-                break
-            for j, c in enumerate(row):
-                if c and j != col_of[partner] and level[am_words[j]] >= _pair_level(w):
-                    triangular = False
-                    break
+    triangular = (_triangular(amw_words, am_words, rows)
+                  if degree == len(labels) - 2 and amw_words else None)
     return BasisChange(labels, width, degree, amw_words, am_words,
                        tuple(tuple(r) for r in rows), triangular)
+
+
+def _triangular(amw_words, am_words, rows) -> bool:
+    """Whether each row holds its pairing sign at its partner, else lower levels only."""
+    if len(amw_words) != len(am_words):
+        return False
+    col_of = {a: j for j, a in enumerate(am_words)}
+    level = [_pair_level(a) for a in am_words]
+    for w, row in zip(amw_words, rows):
+        j = col_of.get(_am_partner(w))
+        if j is None or row[j] != _pairing_sign(w):
+            return False
+        if any(c and i != j and level[i] >= _pair_level(w) for i, c in enumerate(row)):
+            return False
+    return True

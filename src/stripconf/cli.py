@@ -24,8 +24,8 @@ from .algebra import (act, generation_check, higher_stability_params,
 from .cells import cell_complex, parse_weighted_set, permutohedron
 from .chains import verify_boundary_squared
 from .cycles import Wheel, WordSyntaxError, parse_word
-from .homology import (DEFAULT_MAX_CELLS, ResourceRefusal, decomposition_check,
-                       estimate_cells, homology_profile, isotypic_profile)
+from .homology import (DEFAULT_MAX_CELLS, ResourceRefusal, _guard, decomposition_check,
+                       homology_profile, isotypic_profile)
 from .basis import AM, AMW, verify_basis
 
 
@@ -135,15 +135,6 @@ def _relation_battery(width: int):
     return checks
 
 
-def _refuse_past_cap(spec, max_cells: int):
-    """Refuse, before anything is enumerated, a complex whose estimated
-    cell count exceeds the cap."""
-    est = estimate_cells(spec)
-    if est > max_cells:
-        raise ResourceRefusal(f"estimated {est} cells of {spec.describe()} "
-                              f"exceeds the cap of {max_cells}")
-
-
 def _cmd_verify(args) -> int:
     if args.max_cells is not None and args.scope in ("relations", "generation"):
         raise ValueError(f"--max-cells does not apply to --scope {args.scope}, "
@@ -152,19 +143,19 @@ def _cmd_verify(args) -> int:
     results = []
     if args.scope == "boundary":
         spec = _spec_from_args(args)
-        _refuse_past_cap(spec, max_cells)
+        _guard(spec, range(spec.n + 1), max_cells)
         rep = verify_boundary_squared(spec)
         results.append((f"boundary^2 {spec.describe()}", rep.ok))
     elif args.scope == "basis":
         if args.n is None:
             raise ValueError("--scope basis needs --n")
-        _refuse_past_cap(cell_complex(args.n, args.w), max_cells)
+        _guard(cell_complex(args.n, args.w), range(args.n + 1), max_cells)
         styles = [AM, AMW] if args.style == "both" else [args.style]
         degrees = ([args.degree] if args.degree is not None
                    else list(range(args.n)))
         for style in styles:
             for k in degrees:
-                rep = verify_basis(args.n, args.w, k, style)
+                rep = verify_basis(args.n, args.w, k, style, max_cells)
                 results.append(
                     (f"{style} basis n={args.n} w={args.w} degree {k}: "
                      f"{rep.count} words, betti {rep.betti}", rep.ok))
@@ -174,7 +165,7 @@ def _cmd_verify(args) -> int:
     elif args.scope == "decomposition":
         if args.n is None:
             raise ValueError("--scope decomposition needs --n")
-        _refuse_past_cap(cell_complex(args.n, args.w), max_cells)
+        _guard(cell_complex(args.n, args.w), range(args.n + 1), max_cells)
         rep = decomposition_check(args.n, args.w, max_cells=max_cells)
         results.append((f"decomposition n={args.n} w={args.w} "
                         f"({rep.sectors} sectors)", rep.ok))

@@ -17,16 +17,16 @@ guarded route of `_blocks`, picked by the kind of complex alone:
   (kind- and width-aware) for unit weights, and the unrestricted count,
   an upper estimate, for weighted labels.
 
-The guards of homology_profile, betti_number, boundary_rank, is_boundary
-and express run before the exact top degree is searched for, against the
-search-free bound n - ceil(total weight / width).
+The guards of homology_profile, betti_number, boundary_rank, is_boundary,
+express and verify_basis run before the exact top degree is searched for,
+against the search-free bound n - ceil(total weight / width).
 
-The echelon of the image of d_{k+1} is cached per (complex, degree), so
-repeated membership queries (is_boundary, express) in the same degree
-reuse one elimination.  Witnesses, certificates and `express` always work
-on cells.  A tracked echelon has the same rows as a plain one, so it
-serves both kinds of query and replaces a plain one when a witness is
-first asked for.
+The echelon of the image of d_{k+1} is cached per (complex, degree), and
+one guarded path, `_modulo_boundaries`, reduces cycles modulo it for
+is_boundary, express and `basis`.  Witnesses, certificates and `express`
+always work on cells.  A tracked echelon has the same rows as a plain
+one, so it serves both kinds of query and replaces a plain one when a
+witness is first asked for.
 
 Every witness and certificate is checked before it is returned; a failed
 check raises CertificateError, which `python -O` does not strip.
@@ -102,19 +102,21 @@ def _involutions(n: int) -> int:
 
 
 def _guard(spec: ComplexSpec, degrees, max_cells: int, cells: bool = True):
-    """Refuse up front when the work in these degrees exceeds the cap.
+    """Refuse up front when the work in these degrees (those from 0 to the
+    search-free top bound) exceeds the cap.
 
     The work is the number of cells, or, when `cells` is False and `spec`
     is ranked per irreducible, the number of isotypic block rows: m_k
     orbits times f summed over the irreducibles, in every degree k.
     """
+    degrees = sorted({d for d in degrees if 0 <= d <= _top_bound(spec)})
     est, what = sum(estimate_cells(spec, d) for d in degrees), "cells"
     if not cells and _isotypic(spec):
         # unit-weight ordered: every orbit holds exactly n! cells
         est, what = est // factorial(spec.n) * _involutions(spec.n), "isotypic block rows"
     if est > max_cells:
         raise ResourceRefusal(
-            f"estimated {est} {what} across degrees {sorted(set(degrees))} "
+            f"estimated {est} {what} across degrees {degrees} "
             f"of {spec.describe()} exceeds the cap of {max_cells}")
 
 
@@ -156,8 +158,8 @@ def _blocks(spec: ComplexSpec, degrees, max_cells: int) -> list:
     `max_cells` (in block rows or cells): the top is searched for after.
     """
     bound = _top_bound(spec)
-    _guard(spec, {d for k in degrees if 0 <= k <= bound for d in (k - 1, k) if d >= 0},
-           max_cells, cells=False)
+    _guard(spec, {d for k in degrees if 0 <= k <= bound for d in (k - 1, k)}, max_cells,
+           cells=False)
     degrees = [k for k in degrees if 1 <= k <= bound and k <= spec.top_degree()]
     if _isotypic(spec):
         return block_ranks(spec, degrees)
@@ -186,12 +188,17 @@ def _cell_count(spec: ComplexSpec, degree: int) -> int:
     return len(enumerate_cells(spec, degree))
 
 
+def _betti_rule(cells: int, rank: int, rank_up: int) -> int:
+    """b_k = #cells_k - rank d_k - rank d_{k+1}, checked not negative."""
+    b = cells - rank - rank_up
+    if b < 0:
+        raise CertificateError(f"negative Betti number {cells} - {rank} - {rank_up}")
+    return b
+
+
 def _betti(cells: Sequence[int], ranks: Sequence[int]) -> tuple:
-    """cells[d] - ranks[d] - ranks[d+1] in every degree, checked: no entry
-    is negative and the Euler characteristics agree."""
-    betti = tuple(c - ranks[d] - ranks[d + 1] for d, c in enumerate(cells))
-    if any(b < 0 for b in betti):
-        raise CertificateError(f"negative Betti number in {betti}")
+    """The Betti rule in every degree, with the Euler characteristics checked."""
+    betti = tuple(_betti_rule(c, ranks[d], ranks[d + 1]) for d, c in enumerate(cells))
     euler_cells = sum((-1) ** d * c for d, c in enumerate(cells))
     euler_betti = sum((-1) ** d * b for d, b in enumerate(betti))
     if euler_cells != euler_betti:
@@ -238,7 +245,7 @@ def betti_number(spec: ComplexSpec, degree: int,
     if not 0 <= degree <= _top_bound(spec):
         return 0
     ranks = _ranks(spec, (degree, degree + 1), max_cells)
-    return _cell_count(spec, degree) - ranks[degree] - ranks[degree + 1]
+    return _betti_rule(_cell_count(spec, degree), ranks[degree], ranks[degree + 1])
 
 
 @dataclass(frozen=True)
@@ -293,7 +300,46 @@ def isotypic_profile(spec: ComplexSpec,
 
 
 # ---------------------------------------------------------------------------
-# membership in the boundary space
+# cycles modulo boundaries
+
+
+def _modulo_boundaries(spec: ComplexSpec, k: int, cycles, max_cells: int,
+                       track: bool = False) -> tuple:
+    """Reduce the k-cycles `cycles` of `spec` modulo the image of d_{k+1}.
+
+    Returns (index, image, residues): the k-cell index, the image echelon
+    (tracked when `track`), and a tracked echelon of the nonzero residues,
+    tagged by position.  Refused first when degrees k and k+1 exceed
+    `max_cells` cells; `cycles` may be lazy and is read only after.
+    """
+    _guard(spec, (k, k + 1), max_cells)
+    index, image = cell_index(spec, k), image_echelon(spec, k, track)
+    residues = Echelon(track=True)
+    for i, z in enumerate(cycles):
+        r = image.residue(z.to_column(index))
+        if r:
+            residues.absorb(r, tag=i)
+    return index, image, residues
+
+
+def _express(chain: ChainVector, basis: Sequence[ChainVector], index: dict,
+             image: Echelon, residues: Echelon) -> ExpressResult:
+    """`express` of `chain` in `basis`, which `_modulo_boundaries` reduced."""
+    spec, k = chain.spec, chain.degree
+    target = image.residue(chain.to_column(index))
+    coords = residues.coordinates(target)
+    if coords is None:
+        cells, left = enumerate_cells(spec, k), residues.residue(target)
+        return ExpressResult(False, residual=ChainVector(
+            spec, k, {cells[c]: v for c, v in left.items()}))
+    coeffs = tuple(coords.get(i, 0) for i in range(len(basis)))
+    remainder = chain
+    for c, b in zip(coeffs, basis):
+        if c:
+            remainder = remainder - b.scale(c)
+    if image.residue(remainder.to_column(index)):
+        raise CertificateError("express produced a non-bounding remainder")
+    return ExpressResult(True, coefficients=coeffs)
 
 
 @dataclass(frozen=True)
@@ -319,11 +365,8 @@ def is_boundary(chain: ChainVector, want_witness: bool = False,
         raise ValueError("is_boundary expects a cycle")
     if chain.is_zero():
         return BoundaryAnswer(True, witness=ChainVector.zero(spec, k + 1))
-    bound = _top_bound(spec)
-    _guard(spec, [d for d in (k, k + 1) if 0 <= d <= bound], max_cells)
-    index = cell_index(spec, k)
+    index, ech, _ = _modulo_boundaries(spec, k, (), max_cells, track=want_witness)
     vec = chain.to_column(index)
-    ech = image_echelon(spec, k, track=want_witness)
     coords = ech.coordinates(vec) if want_witness else None
     if coords is None:
         y = ech.annihilator(vec)
@@ -363,30 +406,7 @@ def express(chain: ChainVector, basis: Sequence[ChainVector],
             raise ValueError("basis must match the chain")
     if not all(is_cycle(z) for z in (chain, *basis)):
         raise ValueError("express expects cycles")
-    bound = _top_bound(spec)
-    _guard(spec, [d for d in (k, k + 1) if 0 <= d <= bound], max_cells)
-    index = cell_index(spec, k)
-    ech = image_echelon(spec, k)
-    residues = [ech.residue(b.to_column(index)) for b in basis]
-    target = ech.residue(chain.to_column(index))
-    small = Echelon(track=True)
-    for i, r in enumerate(residues):
-        if r:
-            small.absorb(r, tag=i)
-    coords = small.coordinates(target)
-    if coords is None:
-        left = small.residue(target)
-        cells = enumerate_cells(spec, k)
-        residual = ChainVector(spec, k, {cells[c]: v for c, v in left.items()})
-        return ExpressResult(False, residual=residual)
-    coeffs = tuple(coords.get(i, 0) for i in range(len(basis)))
-    combo = ChainVector.zero(spec, k)
-    for c, b in zip(coeffs, basis):
-        if c:
-            combo = combo + b.scale(c)
-    if ech.residue((chain - combo).to_column(index)):
-        raise CertificateError("express produced a non-bounding remainder")
-    return ExpressResult(True, coefficients=coeffs)
+    return _express(chain, basis, *_modulo_boundaries(spec, k, basis, max_cells))
 
 
 # ---------------------------------------------------------------------------

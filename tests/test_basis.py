@@ -14,11 +14,14 @@ from stripconf.basis import (
     enumerate_basis,
     verify_basis,
 )
+import stripconf.basis as basis
 from stripconf.cells import cell_complex
 from stripconf.chains import is_cycle
+import stripconf.cycles as cycles
 from stripconf.cycles import AvgFilter, Filter, Wheel
 import stripconf.homology as homology
-from stripconf.homology import betti_number
+from stripconf.homology import CertificateError, ResourceRefusal, betti_number
+from stripconf.linalg import Echelon
 
 
 def test_am_basis_frozen_at_three_disks_width_two():
@@ -100,6 +103,22 @@ def test_verify_basis_reads_betti_from_its_echelons_in_any_order(monkeypatch):
     assert all(rep.ok for rep in reports)
 
 
+def test_verify_basis_refuses_before_building_a_word_cycle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a word cycle was built")
+
+    monkeypatch.setattr(cycles, "word_cycle", refuse)
+    monkeypatch.setattr(basis, "basis_cycle", refuse)
+    with pytest.raises(ResourceRefusal):
+        verify_basis(5, 3, 2, max_cells=1)
+
+
+def test_verify_basis_checks_its_betti_number(monkeypatch):
+    monkeypatch.setattr(Echelon, "rank", property(lambda self: 10 ** 6))
+    with pytest.raises(CertificateError, match="negative Betti number"):
+        verify_basis(3, 2, 1)
+
+
 def test_basis_cycles_live_in_the_right_complex():
     spec = cell_complex((1, 2, 3, 4), 2)
     for word in enumerate_basis(4, 2, 2, AMW):
@@ -136,6 +155,25 @@ def test_basis_change_four_disks():
     assert change.triangular is True
 
 
+def test_basis_change_reduces_each_cycle_once(monkeypatch):
+    calls = {"residue": 0, "is_cycle": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Echelon, "residue", counted("residue", Echelon.residue))
+    monkeypatch.setattr(homology, "is_cycle", counted("is_cycle", homology.is_cycle))
+    change = basis_change(4, 3, 2)
+    words = len(change.am_words)
+    assert words == len(change.amw_words) == 29
+    # one residue per am cycle, and per amw cycle its target and its remainder
+    assert calls["residue"] <= 3 * words
+    assert calls["is_cycle"] == 0
+
+
 def test_basis_checks_raise_under_python_O():
     script = textwrap.dedent("""
         import sys
@@ -146,7 +184,7 @@ def test_basis_checks_raise_under_python_O():
             basis.enumerate_basis(3, 2, 1, "xx")
         except ValueError:
             print("ValueError")
-        basis.express = lambda chain, cycles: ExpressResult(False)
+        basis._express = lambda chain, cycles, *reduced: ExpressResult(False)
         try:
             basis.basis_change(3, 2, 1)
         except CertificateError:

@@ -59,6 +59,13 @@ def test_six_disks_width_three_frozen_profile():
     assert homology_profile(cell_complex(6, 3)).betti == (1, 15, 714, 780, 80)
 
 
+def test_betti_number_refuses_a_negative_value(monkeypatch):
+    spec = cell_complex(4, 2)
+    monkeypatch.setattr(homology, "_ranks", lambda spec, degrees, cap: {k: 10 ** 6 for k in degrees})
+    with pytest.raises(CertificateError, match="negative Betti number"):
+        betti_number(spec, 1)
+
+
 def test_betti_number_matches_profile():
     spec = cell_complex((1, 2, 3), 3)
     prof = homology_profile(spec)

@@ -13,6 +13,8 @@ name.
 
 The package's caches, `lru_cache`d functions and module-level `*_cache`
 dicts, are pinned by name, so adding or dropping one is done on purpose.
+So are the modules that import from `linalg`: every other module reaches
+the linear algebra through them.
 
 No module in `src/stripconf` uses an `assert` statement: `python -O`
 strips them, so a check has to raise ValueError (bad input) or
@@ -190,6 +192,26 @@ def cache_sites(source: str) -> set:
 def test_cache_sites_are_pinned():
     found = {f"{p.stem}.{name}" for p in MODULES for name in cache_sites(p.read_text())}
     assert found == CACHE_SITES
+
+
+LINALG_IMPORTERS = {"algebra", "equivariant", "homology"}
+
+
+def imports_from(source: str, module: str) -> bool:
+    """Whether the source imports from the sibling module `module`."""
+    return any(isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_linalg_importers_are_pinned():
+    found = {p.stem for p in MODULES if imports_from(p.read_text(), "linalg")}
+    assert found == LINALG_IMPORTERS
+
+
+def test_import_finder_reads_relative_imports_only():
+    assert imports_from("import os\nfrom .linalg import Echelon\n", "linalg")
+    assert not imports_from("from linalg import Echelon\n", "linalg")
+    assert not imports_from("from .cells import cell_index\n", "linalg")
 
 
 def test_cache_checker_finds_each_kind():
