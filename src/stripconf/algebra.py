@@ -27,6 +27,12 @@ guarded by an explicit lexicographic measure, checked to drop from every
 rewritten word to each of its children; a failed check raises
 CertificateError.  Words are rewritten largest measure first, so each is
 rewritten once, after every word that produces it.
+
+Inside act() and reduce() an integral coefficient is carried as an int and
+any other as a Fraction: every rewrite multiplies by an integer sign, and
+properize() gives integral coefficients on every left comb of up to six
+labels.  The WordCombination they return converts each value to a
+Fraction, once.
 """
 
 from __future__ import annotations
@@ -55,7 +61,8 @@ from .maps import Leaf, Node, WheelTree, comb, tree_labels
 
 
 class WordCombination:
-    """A formal rational combination of generator words."""
+    """A formal rational combination of generator words; every value is
+    converted to a Fraction on construction."""
 
     __slots__ = ("terms",)
 
@@ -119,11 +126,17 @@ def _tree_pattern(tree: WheelTree, rank_of: dict) -> WheelTree:
     return Node(_tree_pattern(tree.left, rank_of), _tree_pattern(tree.right, rank_of))
 
 
+def _narrow(c):
+    """An integral coefficient as an int; any other stays a Fraction."""
+    return c.numerator if c.denominator == 1 else c
+
+
 @lru_cache(maxsize=4096)
 def _properize_pattern(tree: WheelTree) -> tuple:
     """Proper-wheel coefficients of a wheel tree on labels 1..n.
 
-    Returns ((proper label tuple, Fraction), ...).  Exact at chain level.
+    Returns ((proper label tuple, coefficient), ...), integral
+    coefficients as ints.  Exact at chain level.
     """
     labels = tuple(sorted(tree_labels(tree)))
     n = len(labels)
@@ -136,11 +149,12 @@ def _properize_pattern(tree: WheelTree) -> tuple:
     sol = solve_exact(rows, target)
     if sol is None:
         raise CertificateError(f"the wheel tree {tree} failed to properize")
-    return tuple((propers[i].labels, c) for i, c in sorted(sol.items()))
+    return tuple((propers[i].labels, _narrow(c)) for i, c in sorted(sol.items()))
 
 
-def properize(wheel_or_tree) -> Dict[tuple, Fraction]:
-    """Express a wheel (tree or label sequence) in proper wheels, exactly."""
+def properize(wheel_or_tree) -> Dict[tuple, Union[int, Fraction]]:
+    """Express a wheel (tree or label sequence) in proper wheels, exactly;
+    integral coefficients are ints."""
     tree = _as_tree(wheel_or_tree)
     labels = tuple(sorted(tree_labels(tree)))
     rank_of = {a: i + 1 for i, a in enumerate(labels)}
@@ -177,9 +191,9 @@ def act(mapping: dict, x: Union[GeneratorWord, WordCombination],
     """
     if isinstance(x, GeneratorWord):
         x = WordCombination.of(x)
-    out = WordCombination()
+    out: Dict[GeneratorWord, Union[int, Fraction]] = {}
     for word, coeff in x.items():
-        expanded = [(Fraction(coeff), ())]
+        expanded = [(_narrow(coeff), ())]
         for f in word.factors:
             grown = []
             if isinstance(f, Wheel):
@@ -188,25 +202,24 @@ def act(mapping: dict, x: Union[GeneratorWord, WordCombination],
                     for base, fs in expanded:
                         grown.append((base * c, fs + (Wheel(labels),)))
             else:
-                slot_options: List[List[Tuple[Wheel, Fraction]]] = []
+                slot_options: List[List[Tuple[Wheel, Union[int, Fraction]]]] = []
                 for w in f.wheels:
                     moved = tuple(mapping.get(a, a) for a in w.labels)
                     slot_options.append(
                         [(Wheel(labels), c) for labels, c in properize(comb(moved)).items()])
                 for pick in itertools.product(*slot_options):
                     wheels = tuple(p[0] for p in pick)
-                    c = Fraction(1)
+                    nf, c = _normalize_filter(wheels)
                     for p in pick:
                         c *= p[1]
-                    nf, sign = _normalize_filter(wheels)
                     for base, fs in expanded:
-                        grown.append((base * c * sign, fs + (nf,)))
+                        grown.append((base * c, fs + (nf,)))
             expanded = grown
         for c, fs in expanded:
             if c:
                 w2 = GeneratorWord(fs)
-                out.terms[w2] = out.terms.get(w2, Fraction(0)) + c
-    return WordCombination(out.terms)
+                out[w2] = out.get(w2, 0) + c
+    return WordCombination(out)
 
 
 # ---------------------------------------------------------------------------
@@ -453,15 +466,16 @@ def _first_violation(word: GeneratorWord, width: int) -> Optional[tuple]:
     return None
 
 
-def _rewrite(word: GeneratorWord, coeff: Fraction, width: int, spot: tuple,
-             mu: tuple) -> List[Tuple[GeneratorWord, Fraction, tuple]]:
+def _rewrite(word: GeneratorWord, coeff, width: int, spot: tuple,
+             mu: tuple) -> List[Tuple[GeneratorWord, Union[int, Fraction], tuple]]:
     """One rewriting step on the violation `spot` of a word of measure `mu`.
 
     Returns (child, coefficient, measure of the child), having checked
-    that every child's measure drops below `mu`.
+    that every child's measure drops below `mu`.  The child's coefficient
+    is `coeff` times one integer sign, so an int coefficient stays an int.
     """
     kind, i = spot
-    out: List[Tuple[GeneratorWord, Fraction]] = []
+    out: List[Tuple[GeneratorWord, Union[int, Fraction]]] = []
     if kind == "swap":
         a, b = word.factors[i], word.factors[i + 1]
         sign = -1 if ((a.size - 1) * (b.size - 1)) % 2 else 1
@@ -486,7 +500,7 @@ def _rewrite(word: GeneratorWord, coeff: Fraction, width: int, spot: tuple,
             nf, sign = _normalize_filter(rest)
             middle = (wk, nf) if side == "left" else (nf, wk)
             new = GeneratorWord(prefix + middle + suffix)
-            out.append((new, -coeff * c * sign))
+            out.append((new, coeff * (-c * sign)))
     children = []
     for new, c in out:
         nu = _measure(new)
@@ -513,16 +527,20 @@ def reduce(x: Union[GeneratorWord, WordCombination, str], width: int,
     than its parent, so a word is popped only once all the words that
     produce it have been, with its coefficient complete: each word is
     rewritten at most once.
+
+    Coefficients are carried as ints while integral (each rewrite
+    multiplies by an integer sign), and converted to Fractions once, in
+    the returned combination.
     """
     if isinstance(x, str):
         x = WordCombination.of(parse_word(x))
     elif isinstance(x, GeneratorWord):
         x = WordCombination.of(x)
-    pending: Dict[GeneratorWord, Fraction] = {}
+    pending: Dict[GeneratorWord, Union[int, Fraction]] = {}
     heap: list = []
     tick = itertools.count()
 
-    def queue(word: GeneratorWord, c: Fraction, mu: tuple):
+    def queue(word: GeneratorWord, c, mu: tuple):
         if word in pending:
             pending[word] += c
         else:
@@ -533,8 +551,8 @@ def reduce(x: Union[GeneratorWord, WordCombination, str], width: int,
         _check_generator_word(word, width)
         if any(isinstance(f, AvgFilter) and f.trivial(width) for f in word.factors):
             continue  # the word is a boundary
-        queue(word, c, _measure(word))
-    done: Dict[GeneratorWord, Fraction] = {}
+        queue(word, _narrow(c), _measure(word))
+    done: Dict[GeneratorWord, Union[int, Fraction]] = {}
     while heap:
         _, _, word, mu = heapq.heappop(heap)
         coeff = pending.pop(word)

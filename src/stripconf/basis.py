@@ -35,7 +35,7 @@ from .cells import cell_complex, wsgn_pairs
 from .cycles import (AvgFilter, Filter, GeneratorWord, Wheel, admissible_sizes,
                      word_cycle)
 from .homology import (DEFAULT_MAX_CELLS, CertificateError, _betti_rule, _express,
-                       _modulo_boundaries)
+                       _guard, _modulo_boundaries)
 
 AM = "am"
 AMW = "amw"
@@ -187,10 +187,12 @@ def verify_basis(labels, width: int, degree: int, style: str = AMW,
     Independence is checked modulo boundaries: the word cycles, reduced
     modulo the image of d_{degree+1}, must keep full rank.  The Betti
     number comes from the ranks of that image and the one below.  Refused
-    before any word cycle is built when degrees degree-1 and degree, or
-    degree and degree+1, exceed `max_cells` cells.
+    before the basis words are enumerated when degrees degree-1 and
+    degree, or degree and degree+1, exceed `max_cells` cells.
     """
     spec = cell_complex(labels, width)
+    _guard(spec, (degree - 1, degree), max_cells)
+    _guard(spec, (degree, degree + 1), max_cells)
     words = enumerate_basis(spec.labels, width, degree, style)
     _, below, _ = _modulo_boundaries(spec, degree - 1, (), max_cells)
     index, image, residues = _modulo_boundaries(

@@ -28,7 +28,11 @@ the total size is at most w.  Every generator chain is checked to be a
 cycle before it is returned; a failure raises CertificateError.
 
 Generator words (concatenations of proper wheels and averaged filters) are
-written `W(3,1)|AF(W(2),W(5,4))`; whitespace is ignored.
+written `W(3,1)|AF(W(2),W(5,4))`; whitespace is ignored.  Wheels, filters
+and words are frozen, slotted dataclasses that fix at construction their
+hash (that of the tuple of their one field, as a generated hash would be),
+a wheel's size and rank, and a filter's sorted labels, so a dict or heap
+lookup never rehashes the factors.
 """
 
 from __future__ import annotations
@@ -48,25 +52,30 @@ from .maps import (Leaf, Node, WheelTree, averaged_inclusion_q, comb,
 # word-level factors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Wheel:
     """A wheel presented by its label sequence; proper iff largest label first."""
 
     labels: tuple
-    # the largest label, which rank_key reads on every comparison; derived
-    # from the labels, so left out of eq/hash
+    # derived from the labels once, so left out of eq, hash and repr
     top: int = field(init=False, repr=False, compare=False)
+    size: int = field(init=False, repr=False, compare=False)
+    _rank: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.labels:
             raise ValueError("empty wheel")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("wheel labels must be distinct")
-        object.__setattr__(self, "top", max(self.labels))
+        top, size = max(self.labels), len(self.labels)
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "_rank", (size, top))
+        object.__setattr__(self, "_hash", hash((self.labels,)))
 
-    @property
-    def size(self) -> int:
-        return len(self.labels)
+    def __hash__(self):
+        return self._hash
 
     @property
     def degree(self) -> int:
@@ -80,7 +89,7 @@ class Wheel:
 
     def rank_key(self) -> tuple:
         """More disks ranks higher; ties broken by larger top label."""
-        return (self.size, self.top)
+        return self._rank
 
     def __str__(self):
         return "W(" + ",".join(str(a) for a in self.labels) + ")"
@@ -93,18 +102,24 @@ def admissible_sizes(sizes: Sequence[int], width: Optional[int]) -> bool:
     return width is None or all(total - n <= width for n in sizes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Filter:
     wheels: tuple
+    # derived from the wheels once, so left out of eq, hash and repr
+    _labels: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.wheels) < 2:
             raise ValueError("a filter needs at least two wheels")
-        seen = set()
-        for w in self.wheels:
-            if seen & set(w.labels):
-                raise ValueError("filter wheels must have disjoint labels")
-            seen |= set(w.labels)
+        flat = [a for w in self.wheels for a in w.labels]
+        if len(set(flat)) != len(flat):
+            raise ValueError("filter wheels must have disjoint labels")
+        object.__setattr__(self, "_labels", tuple(sorted(flat)))
+        object.__setattr__(self, "_hash", hash((self.wheels,)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def arity(self) -> int:
@@ -132,37 +147,46 @@ class Filter:
         return self.total <= width
 
     def labels(self) -> tuple:
-        return tuple(sorted(a for w in self.wheels for a in w.labels))
+        return self._labels
 
     def __str__(self):
         return "F(" + ",".join(str(w) for w in self.wheels) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AvgFilter(Filter):
+    # stated here, or the dataclass would generate one that rehashes the wheels
+    __hash__ = Filter.__hash__
+
     def __str__(self):
         return "AF(" + ",".join(str(w) for w in self.wheels) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeneratorWord:
     """Concatenation of proper wheels and averaged filters, left to right."""
 
     factors: tuple
+    # derived from the factors once, so left out of eq, hash and repr
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
-        for f in self.factors:
-            fl = set(f.labels) if isinstance(f, Wheel) else set(f.labels())
-            if seen & fl:
-                raise ValueError("word factors must have disjoint labels")
-            seen |= fl
+        flat = self._flat_labels()
+        if len(set(flat)) != len(flat):
+            raise ValueError("word factors must have disjoint labels")
+        object.__setattr__(self, "_hash", hash((self.factors,)))
 
-    def labels(self) -> tuple:
+    def __hash__(self):
+        return self._hash
+
+    def _flat_labels(self) -> list:
         out = []
         for f in self.factors:
             out.extend(f.labels if isinstance(f, Wheel) else f.labels())
-        return tuple(sorted(out))
+        return out
+
+    def labels(self) -> tuple:
+        return tuple(sorted(self._flat_labels()))
 
     def degree(self) -> int:
         return sum(f.degree for f in self.factors)

@@ -357,6 +357,66 @@ def test_large_normal_forms_match_the_pinned_digest(text, mapping, d, width, ter
 
 
 # ---------------------------------------------------------------------------
+# the cost guards of the rewrite loop: cached word hashes, int coefficients
+
+
+def test_a_built_word_hashes_without_hashing_its_wheels(monkeypatch):
+    word = parse_word("W(2,1)|AF(W(3),W(4),W(5))|W(6)|AF(W(7),W(8),W(9))")
+    assert len(word.labels()) == 9
+    filters = [f for f in word.factors if isinstance(f, AvgFilter)]
+    assert len(filters) == 2
+    expected = [hash((word.factors,))] + [hash((f.wheels,)) for f in filters]
+    calls = []
+    honest = Wheel.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return honest(self)
+
+    monkeypatch.setattr(Wheel, "__hash__", counted)
+    assert hash(Wheel((1,))) == hash(((1,),)) and len(calls) == 1
+    calls.clear()
+    assert [hash(word)] + [hash(f) for f in filters] == expected
+    assert {word: 1}[word] == 1
+    assert calls == []
+
+
+# (u, v, mapping, width): act() properizes and re-sorts, reduce() rewrites
+SCALED_CASES = [
+    ("W(2,1)|W(3)|AF(W(4),W(5),W(6))", "W(1)|W(3,2)|AF(W(4),W(5),W(6))",
+     {1: 2, 2: 1, 4: 6, 6: 4}, 2),
+    ("W(3,1,2)|W(4)|AF(W(5),W(6),W(8,7))", "W(4)|W(3,2,1)|AF(W(5),W(6),W(8,7))",
+     {1: 3, 3: 1, 5: 8, 8: 5}, 3),
+]
+
+
+@pytest.mark.parametrize("u,v,mapping,width", SCALED_CASES)
+def test_act_and_reduce_commute_with_non_integral_scalars(u, v, mapping, width):
+    u, v = parse_word(u), parse_word(v)
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    moved_u, moved_v = act(mapping, u), act(mapping, v)
+    assert act(mapping, WordCombination.of(u, third)) == moved_u.scale(third)
+    mixed = WordCombination({u: half, v: 3})
+    assert act(mapping, mixed) == moved_u.scale(half) + moved_v.scale(3)
+    reduced_u, reduced_v = reduce(moved_u, width), reduce(moved_v, width)
+    assert len(reduced_u.terms) > 1 or len(reduced_v.terms) > 1
+    assert reduce(moved_u.scale(third), width) == reduced_u.scale(third)
+    assert (reduce(moved_u.scale(half) + moved_v.scale(3), width)
+            == reduced_u.scale(half) + reduced_v.scale(3))
+
+
+@pytest.mark.parametrize("u,v,mapping,width", SCALED_CASES)
+def test_act_and_reduce_return_fractions(u, v, mapping, width):
+    x = WordCombination({parse_word(u): Fraction(1, 2), parse_word(v): 3})
+    outputs = [act(mapping, x), act(mapping, parse_word(v))]
+    outputs += [f(moved, width) for moved in list(outputs) for f in (
+        reduce, lambda y, w: quotient_reduce(y, 1, w))]
+    assert any(not out.is_zero() for out in outputs[2:])
+    for out in outputs:
+        assert all(type(c) is Fraction for c in out.terms.values())
+
+
+# ---------------------------------------------------------------------------
 # stability parameters
 
 

@@ -113,6 +113,18 @@ def test_verify_basis_refuses_before_building_a_word_cycle(monkeypatch):
         verify_basis(5, 3, 2, max_cells=1)
 
 
+# cell(5;3) has 120, 480, 720 and 240 cells in degrees 0-3: a cap of 1000
+# passes degrees 0 and 1 and refuses degrees 1 and 2
+@pytest.mark.parametrize("degree,cap", [(2, 1), (1, 1000)])
+def test_verify_basis_refuses_before_enumerating_words(monkeypatch, degree, cap):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the basis words were enumerated")
+
+    monkeypatch.setattr(basis, "enumerate_basis", refuse)
+    with pytest.raises(ResourceRefusal):
+        verify_basis(5, 3, degree, max_cells=cap)
+
+
 def test_verify_basis_checks_its_betti_number(monkeypatch):
     monkeypatch.setattr(Echelon, "rank", property(lambda self: 10 ** 6))
     with pytest.raises(CertificateError, match="negative Betti number"):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -187,6 +188,64 @@ def test_word_degree():
 def test_word_labels_disjoint():
     with pytest.raises(ValueError):
         GeneratorWord((Wheel((1,)), Wheel((2, 1))))
+
+
+# ---------------------------------------------------------------------------
+# the word objects' contract: hash, size, rank and sorted labels are fixed
+# at construction without changing equality, hashing or printing
+
+
+def test_word_objects_hash_as_their_one_field():
+    wheels = (Wheel((2,)), Wheel((5, 4)), Wheel((6,)))
+    word = GeneratorWord((Wheel((3, 1)), AvgFilter(wheels)))
+    assert hash(wheels[1]) == hash(((5, 4),))
+    assert hash(Filter(wheels)) == hash((wheels,))
+    assert hash(AvgFilter(wheels)) == hash((wheels,))
+    assert hash(word) == hash((word.factors,))
+
+
+def test_equal_word_objects_hash_equal():
+    text = "W(3,1)|AF(W(2),W(5,4),W(6))"
+    a, b = parse_word(text), parse_word(" " + text + " ")
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    wheels = (Wheel((1,)), Wheel((2,)))
+    assert Filter(wheels) == Filter(wheels)
+    assert Filter(wheels) != AvgFilter(wheels)
+    assert len({Filter(wheels), AvgFilter(wheels)}) == 2
+
+
+def test_word_objects_print_as_before():
+    word = parse_word("W(3,1)|AF(W(2),W(5,4),W(6))")
+    assert str(word) == "W(3,1)|AF(W(2),W(5,4),W(6))"
+    assert repr(word) == (
+        "GeneratorWord(factors=(Wheel(labels=(3, 1)), AvgFilter(wheels=("
+        "Wheel(labels=(2,)), Wheel(labels=(5, 4)), Wheel(labels=(6,))))))")
+    f = Filter((Wheel((2,)), Wheel((1,))))
+    assert str(f) == "F(W(2),W(1))"
+    assert repr(f) == "Filter(wheels=(Wheel(labels=(2,)), Wheel(labels=(1,))))"
+
+
+def test_word_objects_are_frozen():
+    wheel = Wheel((2, 1))
+    f = AvgFilter((Wheel((1,)), Wheel((2,)), Wheel((3,))))
+    word = GeneratorWord((wheel,))
+    for obj, name, value in [(wheel, "labels", (1, 2)), (wheel, "size", 5),
+                             (f, "wheels", ()), (word, "factors", ())]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, value)
+    assert (wheel.size, wheel.rank_key(), f.labels()) == (2, (2, 2), (1, 2, 3))
+
+
+def test_word_objects_still_validate():
+    with pytest.raises(ValueError, match="empty wheel"):
+        Wheel(())
+    with pytest.raises(ValueError, match="distinct"):
+        Wheel((3, 1, 3))
+    with pytest.raises(ValueError, match="disjoint"):
+        AvgFilter((Wheel((1,)), Wheel((3, 2)), Wheel((2, 4))))
+    with pytest.raises(ValueError, match="disjoint"):
+        GeneratorWord((Wheel((4,)), AvgFilter((Wheel((1,)), Wheel((2,)), Wheel((4, 3))))))
 
 
 def test_parse_word_roundtrip():
