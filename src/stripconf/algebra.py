@@ -6,7 +6,7 @@ at least three proper wheels in increasing rank; a generator word is a
 concatenation of those.  This module implements the relations between
 generator words, each with an explicit chain-level witness:
 
-R1  an improper wheel is an exact rational combination of the proper
+R1  an improper wheel is an exact integral combination of the proper
     wheels on the same labels (no boundary needed);
 R2  two adjacent wheels whose sizes fit in the width together commute up
     to the sign (-1)^{(n1-1)(n2-1)}, witnessed by the merged one-block
@@ -30,9 +30,9 @@ rewritten once, after every word that produces it.
 
 Inside act() and reduce() an integral coefficient is carried as an int and
 any other as a Fraction: every rewrite multiplies by an integer sign, and
-properize() gives integral coefficients on every left comb of up to six
-labels.  The WordCombination they return converts each value to a
-Fraction, once.
+properize() reads its R1 coefficients off the wheel's integer one-block
+chain, so they are always ints.  The WordCombination they return converts
+each value to a Fraction, once.
 """
 
 from __future__ import annotations
@@ -42,18 +42,16 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .basis import AMW, _adjacency_ok, _proper_wheels_on, enumerate_basis
-from .cells import cell_complex, cell_index, wsgn_pairs
+from .basis import AMW, _adjacency_ok, enumerate_basis
+from .cells import wsgn_pairs
 from .chains import ChainVector, boundary, concat, is_cycle
 from .cycles import (AvgFilter, Filter, GeneratorWord, Wheel, _as_tree,
                      _filter_chain, _spun, _top_cell, admissible_sizes,
                      averaged_filter_cycle, parse_word, wheel_cycle, word_cycle)
 from .homology import CertificateError
-from .linalg import solve_exact
-from .maps import Leaf, Node, WheelTree, comb, tree_labels
+from .maps import comb, segment_chain, tree_labels
 
 
 # ---------------------------------------------------------------------------
@@ -120,48 +118,32 @@ class WordCombination:
 # R1: properization of wheels
 
 
-def _tree_pattern(tree: WheelTree, rank_of: dict) -> WheelTree:
-    if isinstance(tree, Leaf):
-        return Leaf(rank_of[tree.label])
-    return Node(_tree_pattern(tree.left, rank_of), _tree_pattern(tree.right, rank_of))
-
-
 def _narrow(c):
     """An integral coefficient as an int; any other stays a Fraction."""
     return c.numerator if c.denominator == 1 else c
 
 
-@lru_cache(maxsize=4096)
-def _properize_pattern(tree: WheelTree) -> tuple:
-    """Proper-wheel coefficients of a wheel tree on labels 1..n.
+def properize(wheel_or_tree) -> Dict[tuple, int]:
+    """Express a wheel (tree or label sequence) in proper wheels, exactly.
 
-    Returns ((proper label tuple, coefficient), ...), integral
-    coefficients as ints.  Exact at chain level.
+    A wheel's one-block chain is a graded bracket of its labels, and the
+    proper wheels are the left combs led by the top label.  Of the words
+    in a comb's chain, only its own label tuple starts with the top label,
+    with coefficient 1.  So the coefficient of a proper wheel is that of
+    its own word in the wheel's chain, an int.  The claim that the wheel
+    lies in the span of the proper wheels is checked on the chains: the
+    combination must rebuild the wheel's chain, else CertificateError.
     """
-    labels = tuple(sorted(tree_labels(tree)))
-    n = len(labels)
-    width = n  # wide enough that nothing is restricted
-    spec = cell_complex(labels, width)
-    index = cell_index(spec, n - 1)
-    target = wheel_cycle(tree, width).to_column(index)
-    propers = _proper_wheels_on(labels)
-    rows = [wheel_cycle(w, width).to_column(index) for w in propers]
-    sol = solve_exact(rows, target)
-    if sol is None:
-        raise CertificateError(f"the wheel tree {tree} failed to properize")
-    return tuple((propers[i].labels, _narrow(c)) for i, c in sorted(sol.items()))
-
-
-def properize(wheel_or_tree) -> Dict[tuple, Union[int, Fraction]]:
-    """Express a wheel (tree or label sequence) in proper wheels, exactly;
-    integral coefficients are ints."""
     tree = _as_tree(wheel_or_tree)
-    labels = tuple(sorted(tree_labels(tree)))
-    rank_of = {a: i + 1 for i, a in enumerate(labels)}
-    pattern = _tree_pattern(tree, rank_of)
-    out = {}
-    for ranks, c in _properize_pattern(pattern):
-        out[tuple(labels[r - 1] for r in ranks)] = c
+    words = segment_chain(tree, None)
+    top = max(tree_labels(tree))
+    out = {w: c for w, c in sorted(words.items()) if w[0] == top}
+    rebuilt: dict = {}
+    for w, c in out.items():
+        for v, d in segment_chain(comb(w), None).items():
+            rebuilt[v] = rebuilt.get(v, 0) + c * d
+    if {v: d for v, d in rebuilt.items() if d} != words:
+        raise CertificateError(f"the wheel tree {tree} failed to properize")
     return out
 
 

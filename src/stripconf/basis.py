@@ -83,8 +83,7 @@ def _filters_on(support: tuple, width: int, style: str) -> list:
                 else:
                     ordered = tuple(sorted(wheels, key=lambda w: w.top))
                 out.append(AvgFilter(ordered) if style == AMW else Filter(ordered))
-    # distinct recipes only; ordering made some partitions collide
-    return sorted(set(out), key=str)
+    return sorted(out, key=str)
 
 
 def _adjacency_ok(prev, nxt, width: int, style: str) -> bool:

@@ -117,7 +117,6 @@ class ComplexSpec:
         return f"{self.kind}({ws}; w={width})"
 
 
-@lru_cache(maxsize=None)
 def _min_blocks(weights_desc: tuple, width: int) -> int:
     """Exact minimum number of width-w blocks covering these weights.
 

@@ -29,11 +29,14 @@ from stripconf.algebra import (
     _measure,
     _rewrite,
 )
-from stripconf.cells import cell_complex
+from stripconf.cells import cell_complex, cell_index
 from stripconf.chains import ChainVector
-from stripconf.cycles import (AvgFilter, GeneratorWord, Node, Leaf, Wheel,
-                              admissible_sizes, comb, parse_word, word_cycle)
+from stripconf.cycles import (AvgFilter, Filter, GeneratorWord, Node, Leaf, Wheel,
+                              admissible_sizes, comb, parse_word, wheel_cycle,
+                              word_cycle)
 from stripconf.homology import is_boundary
+from stripconf.linalg import solve_exact
+from stripconf.maps import tree_labels
 
 from conftest import run_optimized, wheels_on_blocks
 
@@ -62,6 +65,59 @@ def test_r1_instances_are_exact(rng):
         labels = tuple(rng.sample(range(1, 8), n))
         inst = r1_instance(comb(labels), n)
         assert inst.verified()
+
+
+def split_trees(labels):
+    """Every split tree whose leaves read `labels` from left to right."""
+    if len(labels) == 1:
+        yield Leaf(labels[0])
+        return
+    for k in range(1, len(labels)):
+        for left in split_trees(labels[:k]):
+            for right in split_trees(labels[k:]):
+                yield Node(left, right)
+
+
+def random_split_tree(labels, rng):
+    if len(labels) == 1:
+        return Leaf(labels[0])
+    k = rng.randint(1, len(labels) - 1)
+    return Node(random_split_tree(labels[:k], rng), random_split_tree(labels[k:], rng))
+
+
+def properize_by_solving(tree):
+    """R1 by an exact linear solve, independent of properize(): the wheel
+    cycles at full width as columns over the top-degree cells, the proper
+    wheels in lex order of the labels after the top one."""
+    labels = tuple(sorted(tree_labels(tree)))
+    n = len(labels)
+    index = cell_index(cell_complex(labels, n), n - 1)
+    propers = [(labels[-1],) + rest for rest in itertools.permutations(labels[:-1])]
+    rows = [wheel_cycle(p, n).to_column(index) for p in propers]
+    sol = solve_exact(rows, wheel_cycle(tree, n).to_column(index))
+    assert sol is not None
+    return {propers[i]: c for i, c in sorted(sol.items())}
+
+
+def assert_properize_matches_the_solve(tree):
+    got, want = properize(tree), properize_by_solving(tree)
+    assert list(got.items()) == list(want.items())
+    assert all(type(c) is int for c in got.values())
+
+
+def test_properize_matches_the_linear_solve_on_every_small_tree():
+    trees = [tree for n in range(1, 5) for order in itertools.permutations(range(1, n + 1))
+             for tree in split_trees(order)]
+    assert len(trees) == 135
+    for tree in trees:
+        assert_properize_matches_the_solve(tree)
+
+
+def test_properize_matches_the_linear_solve_on_random_trees():
+    rng = random.Random(15)
+    for _ in range(40):
+        labels = rng.sample(range(1, 10), rng.randint(5, 6))
+        assert_properize_matches_the_solve(random_split_tree(labels, rng))
 
 
 def relabel_chain(chain, mapping):
@@ -175,6 +231,33 @@ def test_relation_dispatcher():
         relation_instance("r9", 2)
 
 
+SINGLETONS = (Wheel((1,)), Wheel((2,)), Wheel((3,)), Wheel((4,)))
+
+# (name, width, parameters, the direct call, parameters the family rejects)
+DISPATCHED = [
+    ("r1", 3, dict(wheel=comb((1, 2, 3))), lambda: r1_instance(comb((1, 2, 3)), 3),
+     dict(wheel=comb((1, 2, 3, 4)))),
+    ("R3", 2, dict(wheels=SINGLETONS[:3], order=(2, 0, 1)),
+     lambda: r3_instance(SINGLETONS[:3], (2, 0, 1), 2),
+     dict(wheels=SINGLETONS[:3], order=(0, 0, 1))),
+    ("R4", 3, dict(wheels=(comb((1, 2)), comb((3,)), comb((4,))), slot=0),
+     lambda: r4_instance((comb((1, 2)), comb((3,)), comb((4,))), 0, 3),
+     dict(wheels=(comb((1, 2)), comb((2,)), comb((3,))), slot=0)),
+    ("r5", 2, dict(wheels=SINGLETONS), lambda: r5_instance(SINGLETONS, 2),
+     dict(wheels=SINGLETONS[:2])),
+]
+
+
+@pytest.mark.parametrize("name,width,params,direct,bad", DISPATCHED,
+                         ids=[case[0].upper() for case in DISPATCHED])
+def test_relation_dispatcher_reaches_each_family(name, width, params, direct, bad):
+    inst = relation_instance(name, width, **params)
+    assert inst.name == name.upper() and inst.verified()
+    assert inst == direct()
+    with pytest.raises(ValueError):
+        relation_instance(name, width, **bad)
+
+
 # ---------------------------------------------------------------------------
 # reduction to normal form
 
@@ -225,6 +308,10 @@ def test_reduce_rejects_bad_words():
         reduce("AF(W(2),W(1),W(3))", 2)
     with pytest.raises(ValueError, match="does not fit"):
         reduce("W(3,2,1)", 2)
+    with pytest.raises(ValueError, match="inside AF.* is improper"):
+        reduce("AF(W(1,2),W(3),W(4))", 3)
+    with pytest.raises(ValueError, match="plain filter"):
+        reduce(GeneratorWord((Filter(SINGLETONS[:3]),)), 2)
 
 
 def relabelled_shapes(labels=(5, 7)):
@@ -495,11 +582,13 @@ def test_word_combination_cycle():
 
 
 def test_failed_rewrite_checks_raise_under_python_O():
-    # a measure that does not drop, a wheel that does not properize and a
-    # closed form that loses its leading coefficient are failed claims
+    # a measure that does not drop, a wheel whose proper combination does
+    # not rebuild its chain and a closed form that loses its leading
+    # coefficient are failed claims
     printed = run_optimized("""
         import sys
         import stripconf.algebra as algebra
+        import stripconf.maps as maps
         from stripconf.homology import CertificateError
 
         def attempt(call):
@@ -512,8 +601,9 @@ def test_failed_rewrite_checks_raise_under_python_O():
         algebra._measure = lambda word: ((), 0, 0)
         attempt(lambda: algebra.reduce("W(1)|W(2)", 3))
         algebra._measure = measure
-        algebra.solve_exact = lambda rows, target: None
-        attempt(lambda: algebra.properize((1, 2)))
+        algebra.comb = lambda labels: maps.comb(tuple(labels)[::-1])
+        attempt(lambda: algebra.properize((1, 2, 3)))
+        algebra.comb = maps.comb
         algebra.r5_closed_form = lambda sizes: ((-1,) * len(sizes), (1,) * len(sizes))
         attempt(lambda: algebra.reduce("W(1)|AF(W(2),W(3),W(4))", 2))
         print(sys.flags.optimize)

@@ -66,6 +66,11 @@ def test_basis_styles_use_their_own_filters():
                         assert f.arity >= 3
 
 
+def test_enumeration_rejects_an_unknown_style():
+    with pytest.raises(ValueError, match="unknown basis style"):
+        enumerate_basis(3, 2, 1, "amx")
+
+
 def test_enumeration_is_deterministic():
     a = enumerate_basis(4, 3, 2, AMW)
     b = enumerate_basis(4, 3, 2, AMW)

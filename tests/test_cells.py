@@ -51,6 +51,14 @@ def test_spec_validation():
         ComplexSpec("cell", (2, 1), (1, 1), 2)
     with pytest.raises(ValueError):
         ComplexSpec("weird", (1,), (1,), 2)
+    with pytest.raises(ValueError, match="distinct"):
+        ComplexSpec("cell", (1, 1), (1, 1), 2)
+    with pytest.raises(ValueError, match="align"):
+        ComplexSpec("cell", (1, 2), (1,), 2)
+    with pytest.raises(ValueError, match="weight 0 out of range"):
+        ComplexSpec("cell", (1, 2), (1, 0), 2)
+    with pytest.raises(ValueError, match="width 0 out of range"):
+        ComplexSpec("cell", (1, 2), (1, 1), 0)
 
 
 def test_unrestricted_ordered_counts():

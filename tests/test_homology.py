@@ -231,6 +231,13 @@ def test_express_validates_degree():
         express(unit, [w])
 
 
+def test_express_rejects_a_basis_that_is_not_a_cycle():
+    w = wheel_cycle(Wheel((2, 1)), 2)
+    cell = ChainVector(w.spec, 1, {((1, 2),): 1})
+    with pytest.raises(ValueError, match="expects cycles"):
+        express(w, [cell])
+
+
 # ---------------------------------------------------------------------------
 # resource guard and decomposition
 

@@ -13,8 +13,10 @@ name.
 
 The package's caches, `lru_cache`d functions and module-level `*_cache`
 dicts, are pinned by name, so adding or dropping one is done on purpose.
-So are the modules that import from `linalg`: every other module reaches
-the linear algebra through them.
+So are the modules that import from `linalg`, `homology` and
+`equivariant`: every other module reaches the linear algebra through
+them, and `algebra` reaches none (its R1 coefficients are read off
+chains, not solved for).
 
 No module in `src/stripconf` uses an `assert` statement: `python -O`
 strips them, so a check has to raise ValueError (bad input) or
@@ -144,9 +146,10 @@ def test_no_unreferenced_top_level_definitions():
     assert unused_definitions(modules, tests) == []
 
 
-# referenced by the tests only: the pinned sign-convention descriptor and
-# small helpers whose values the tests check directly
-TEST_ONLY = {"CONVENTIONS", "is_left_comb", "s_of_sigma", "wdim"}
+# referenced by the tests only: the pinned sign-convention descriptor,
+# small helpers whose values the tests check directly, and the exact
+# solve behind the reference check of R1
+TEST_ONLY = {"CONVENTIONS", "is_left_comb", "s_of_sigma", "solve_exact", "wdim"}
 
 
 def test_only_pinned_definitions_live_for_the_tests_alone():
@@ -155,8 +158,6 @@ def test_only_pinned_definitions_live_for_the_tests_alone():
 
 
 CACHE_SITES = {
-    "algebra._properize_pattern",
-    "cells._min_blocks",
     "cells.cell_index",
     "cells.enumerate_cells",
     "chains._splits",
@@ -194,7 +195,7 @@ def test_cache_sites_are_pinned():
     assert found == CACHE_SITES
 
 
-LINALG_IMPORTERS = {"algebra", "equivariant", "homology"}
+LINALG_IMPORTERS = {"equivariant", "homology"}
 
 
 def imports_from(source: str, module: str) -> bool:
