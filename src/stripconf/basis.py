@@ -193,9 +193,9 @@ def verify_basis(labels, width: int, degree: int, style: str = AMW,
     _guard(spec, (degree - 1, degree), max_cells)
     _guard(spec, (degree, degree + 1), max_cells)
     words = enumerate_basis(spec.labels, width, degree, style)
-    _, below, _ = _modulo_boundaries(spec, degree - 1, (), max_cells)
+    _, below, _ = _modulo_boundaries(spec, degree - 1, (), max_cells, rank_only=True)
     index, image, residues = _modulo_boundaries(
-        spec, degree, (basis_cycle(w, width) for w in words), max_cells)
+        spec, degree, (basis_cycle(w, width) for w in words), max_cells, rank_only=True)
     betti = _betti_rule(len(index), below.rank, image.rank)
     return BasisReport(spec.labels, width, degree, style, len(words), betti,
                        residues.rank == len(words))

@@ -13,9 +13,14 @@ guarded route of `_blocks`, picked by the kind of complex alone:
   degree.  The guard counts block rows: m_k orbits times the sum of the f
   of the irreducibles, in every degree.
 * every other complex (weighted labels, permutohedra) is ranked by
-  cell-level echelons, built and cached.  The guard counts cells: exactly
-  (kind- and width-aware) for unit weights, and the unrestricted count,
-  an upper estimate, for weighted labels.
+  cell-level echelons, built and cached from the top degree down to the
+  least asked degree.  Top-down order lets every degree below the top be
+  cleared (Chen-Kerber's twist): the pivot cells of the cached echelon
+  one degree up have boundaries in the span of the other cells', so
+  their rows are left out.  That rests on d_k d_{k+1} = 0, which is
+  checked on every row it uses.  The guard counts cells in every degree the
+  sweep builds: exactly (kind- and width-aware) for unit weights, and the
+  unrestricted count, an upper estimate, for weighted labels.
 
 The guards of homology_profile, betti_number, boundary_rank, is_boundary,
 express and verify_basis run before the exact top degree is searched for,
@@ -23,10 +28,13 @@ against the search-free bound n - ceil(total weight / width).
 
 The echelon of the image of d_{k+1} is cached per (complex, degree), and
 one guarded path, `_modulo_boundaries`, reduces cycles modulo it for
-is_boundary, express and `basis`.  Witnesses, certificates and `express`
-always work on cells.  A tracked echelon has the same rows as a plain
-one, so it serves both kinds of query and replaces a plain one when a
-witness is first asked for.
+is_boundary, express and `basis`.  That path builds the one degree it
+needs, cleared only when the degree above is already cached.  So which
+rows an echelon holds may depend on what was cached before, but its row
+space, and every rank, membership, witness and certificate, does not.
+Witnesses, certificates and `express` always work on cells.  A tracked
+echelon spans what a plain one spans, so it serves both kinds of query
+and replaces a plain one when a witness is first asked for.
 
 Every witness and certificate is checked before it is returned; a failed
 check raises CertificateError, which `python -O` does not strip.
@@ -132,17 +140,46 @@ def image_echelon(spec: ComplexSpec, degree: int, track: bool = False) -> Echelo
     Tracked echelons remember which (degree+1)-cells combine into each
     echelon row, which is what boundary witnesses are made of.  A cached
     tracked echelon is returned for untracked requests too.
+
+    When the echelon one degree up is cached, the boundaries of its pivot
+    cells are left out (clearing): they lie in the span of the others.
     """
     key = (spec, degree)
     ech = _image_cache.get(key)
     if ech is not None and (ech.track or not track):
         return ech
     if 0 <= degree < spec.top_degree():
-        ech = echelon_of_rows(boundary_matrix(spec, degree + 1).columns(), track)
+        columns = boundary_matrix(spec, degree + 1).columns()
+        above = _image_cache.get((spec, degree + 1))
+        if above is not None:
+            for p in _cleared(above, columns):
+                columns[p] = {}
+        ech = echelon_of_rows(columns, track)
     else:
         ech = Echelon(track=track)
     _image_cache[key] = ech
     return ech
+
+
+def _cleared(above: Echelon, columns: list):
+    """The pivot cells of `above`, an echelon of boundaries in C_{k+1},
+    after checking that every row leads with its pivot and that d_{k+1},
+    given by its `columns`, kills it.
+
+    A row z with pivot p has d(z) = 0 and z_p != 0, and is supported on p
+    and larger cells, so the boundary of p is a combination of the
+    boundaries of larger cells; by induction over the pivots, largest
+    first, every pivot's boundary lies in the span of the non-pivots'.
+    """
+    for z, p in zip(above.rows, above.pivots_of):
+        dz: Dict[int, int] = {}
+        for j, a in z.items():
+            for r, v in columns[j].items():
+                dz[r] = dz.get(r, 0) + a * v
+        if not z.get(p) or min(z) != p or any(dz.values()):
+            raise CertificateError(f"the echelon row with pivot cell {p} is not a cycle "
+                                   "led by its pivot, so that boundary cannot be cleared")
+    return above.pivots_of
 
 
 def _isotypic(spec: ComplexSpec) -> bool:
@@ -154,16 +191,22 @@ def _blocks(spec: ComplexSpec, degrees, max_cells: int) -> list:
     """[(shape, f, {k: rank})] whose f-weighted sum is rank d_k, for the
     asked k in 1..top: a block per irreducible (`block_ranks`) on
     unit-weight ordered complexes, else one block of cell-level echelon
-    ranks.  Refused first when degrees k-1 and k of the asked k exceed
-    `max_cells` (in block rows or cells): the top is searched for after.
+    ranks, built from the top degree down so that every degree below the
+    top is cleared.  Refused first when the degrees the route reads exceed
+    `max_cells` (in block rows or cells): k-1 and k of the asked k for
+    blocks, every degree from the least asked k-1 up for cells.  The top
+    is searched for after.
     """
     bound = _top_bound(spec)
-    _guard(spec, {d for k in degrees if 0 <= k <= bound for d in (k - 1, k)}, max_cells,
-           cells=False)
-    degrees = [k for k in degrees if 1 <= k <= bound and k <= spec.top_degree()]
+    asked = [k for k in degrees if 0 <= k <= bound]
     if _isotypic(spec):
-        return block_ranks(spec, degrees)
-    return [(None, 1, {k: image_echelon(spec, k - 1).rank for k in degrees})]
+        _guard(spec, {d for k in asked for d in (k - 1, k)}, max_cells, cells=False)
+        return block_ranks(spec, [k for k in asked if 1 <= k <= spec.top_degree()])
+    low = min(asked, default=bound + 2)
+    _guard(spec, range(low - 1, bound + 1), max_cells)
+    ranks = {k: image_echelon(spec, k - 1).rank
+             for k in range(spec.top_degree(), max(low, 1) - 1, -1)}
+    return [(None, 1, {k: ranks[k] for k in asked if k in ranks})]
 
 
 def _ranks(spec: ComplexSpec, degrees, max_cells: int) -> dict:
@@ -176,8 +219,10 @@ def boundary_rank(spec: ComplexSpec, degree: int,
                   max_cells: int = DEFAULT_MAX_CELLS) -> int:
     """Rank of d_degree : C_degree -> C_{degree-1}.
 
-    Refused when degrees degree-1 and degree exceed `max_cells`, counted
-    as betti_number counts them, before the top degree is searched for.
+    Refused, before the top degree is searched for, when the degrees that
+    its route reads exceed `max_cells`, counted as betti_number counts
+    them: degree-1 and degree in isotypic block rows, or every cell from
+    degree-1 up for the cell-level echelons, which are built top-down.
     """
     return _ranks(spec, [degree], max_cells)[degree]
 
@@ -303,17 +348,19 @@ def isotypic_profile(spec: ComplexSpec,
 
 
 def _modulo_boundaries(spec: ComplexSpec, k: int, cycles, max_cells: int,
-                       track: bool = False) -> tuple:
+                       track: bool = False, rank_only: bool = False) -> tuple:
     """Reduce the k-cycles `cycles` of `spec` modulo the image of d_{k+1}.
 
     Returns (index, image, residues): the k-cell index, the image echelon
-    (tracked when `track`), and a tracked echelon of the nonzero residues,
-    tagged by position.  Refused first when degrees k and k+1 exceed
-    `max_cells` cells; `cycles` may be lazy and is read only after.
+    (tracked when `track`), and an echelon of the nonzero residues, tagged
+    by position, and tracked unless the caller reads `rank_only`.  Refused
+    first when degrees k and k+1 exceed `max_cells` cells; `cycles` may be
+    lazy and is read only after.  The image echelon is cleared only when
+    degree k+1 is already cached: this path builds no other degree.
     """
     _guard(spec, (k, k + 1), max_cells)
     index, image = cell_index(spec, k), image_echelon(spec, k, track)
-    residues = Echelon(track=True)
+    residues = Echelon(track=not rank_only)
     for i, z in enumerate(cycles):
         r = image.residue(z.to_column(index))
         if r:

@@ -191,6 +191,37 @@ def test_basis_change_reduces_each_cycle_once(monkeypatch):
     assert calls["is_cycle"] == 0
 
 
+def test_only_coordinate_readers_track_their_residues(monkeypatch):
+    # verify_basis reads only the rank of the reduced word cycles, so its
+    # residue echelon is untracked; basis_change and express read coordinates
+    real = homology._modulo_boundaries
+    tracked = []
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        tracked.append(out[2].track)
+        return out
+
+    def all_tracked(*args, rank_only=False, **kwargs):
+        return real(*args, **kwargs)
+
+    asked = [(5, 3, k) for k in range(4)] + [(4, 2, k) for k in range(3)]
+    monkeypatch.setattr(basis, "_modulo_boundaries", spy)
+    reports = [verify_basis(*a, style=s) for a in asked for s in (AM, AMW)]
+    assert tracked == [False] * 2 * len(reports)
+    assert [r.betti for r in reports[:8:2]] == [1, 10, 169, 40]
+    assert all(r.ok for r in reports)
+    tracked.clear()
+    basis_change(4, 3, 2)
+    assert tracked == [True]
+    monkeypatch.setattr(homology, "_modulo_boundaries", spy)
+    homology.express(basis_cycle(enumerate_basis(3, 2, 1, AMW)[0], 2),
+                     [basis_cycle(w, 2) for w in enumerate_basis(3, 2, 1, AM)])
+    assert tracked == [True, True]
+    monkeypatch.setattr(basis, "_modulo_boundaries", all_tracked)
+    assert [verify_basis(*a, style=s) for a in asked for s in (AM, AMW)] == reports
+
+
 def test_basis_checks_raise_under_python_O():
     script = textwrap.dedent("""
         import sys

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from stripconf.cells import cell_complex, enumerate_cells, permutohedron
-from stripconf.chains import ChainVector, boundary, concat_all, is_cycle
+from stripconf.cells import (cell_complex, cell_index, enumerate_cells, parse_weighted_set,
+                             permutohedron)
+from stripconf.chains import ChainVector, boundary, boundary_matrix, concat_all, is_cycle
 from stripconf.cycles import Wheel, averaged_filter_cycle, wheel_cycle
 import stripconf.homology as homology
 from stripconf.homology import (
@@ -17,8 +18,10 @@ from stripconf.homology import (
     estimate_cells,
     express,
     homology_profile,
+    image_echelon,
     is_boundary,
 )
+from stripconf.linalg import Echelon, echelon_of_rows
 
 from conftest import random_chain, run_optimized
 
@@ -402,3 +405,176 @@ def test_permutohedron_profile():
     prof = homology_profile(permutohedron(3, 2))
     assert prof.cells == (6, 6)
     assert prof.betti == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# clearing: cell-level echelons built from the top degree down
+
+
+def _weighted(text, width, make=cell_complex):
+    labels, weights = parse_weighted_set(text)
+    return make(labels, width, weights)
+
+
+CLEARED_SPECS = [permutohedron(n, w) for n in range(1, 7) for w in (2, 3)] + [
+    _weighted("1 2:2 3 4 5", 3),
+    _weighted("1:2 2 3 4:2 5 6", 3, permutohedron),
+]
+
+
+@pytest.mark.parametrize("spec", CLEARED_SPECS, ids=lambda spec: spec.describe())
+def test_cleared_ranks_match_the_uncleared_echelons(monkeypatch, spec):
+    top = spec.top_degree()
+    full = {k: echelon_of_rows(boundary_matrix(spec, k).columns()).rank
+            for k in range(1, top + 1)}
+    # bottom-up echelons clear nothing, top-down ranks clear every degree
+    # below the top, and a profile sweeps the way top-down ranks do
+    monkeypatch.setattr(homology, "_image_cache", {})
+    assert {k: image_echelon(spec, k - 1).rank for k in full} == full
+    assert {k: boundary_rank(spec, k) for k in full} == full
+    monkeypatch.setattr(homology, "_image_cache", {})
+    assert {k: boundary_rank(spec, k) for k in reversed(full)} == full
+    monkeypatch.setattr(homology, "_image_cache", {})
+    assert homology_profile(spec).ranks == (0, *full.values(), 0)[:top + 2]
+
+
+def test_a_rank_builds_the_degrees_above_it_top_down(monkeypatch):
+    spec = permutohedron(6, 3)
+    built = []
+    real = homology.echelon_of_rows
+
+    def spy(rows, track=False):
+        built.append(sum(1 for row in rows if row))
+        return real(rows, track)
+
+    monkeypatch.setattr(homology, "_image_cache", {})
+    monkeypatch.setattr(homology, "echelon_of_rows", spy)
+    assert boundary_rank(spec, 2) == 1081
+    # d_4, d_3 and d_2 in that order, each without the pivots of the one above
+    assert built == [20, 450 - 20, 1560 - 430]
+    assert sorted(k for s, k in homology._image_cache if s == spec) == [1, 2, 3]
+
+
+def test_the_sweep_guard_counts_every_degree_it_builds(monkeypatch):
+    # perm(6;3) has 720, 1800, 1560, 450 and 20 cells in degrees 0-4
+    spec = permutohedron(6, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused rank built a boundary matrix")
+
+    monkeypatch.setattr(homology, "_image_cache", {})
+    monkeypatch.setattr(homology, "boundary_matrix", refuse)
+    with pytest.raises(ResourceRefusal, match=r"4550 cells across degrees \[0, 1, 2, 3, 4\]"):
+        boundary_rank(spec, 1, max_cells=3_000)  # degrees 0 and 1 hold 2,520
+    with pytest.raises(ResourceRefusal, match="3830 cells"):
+        boundary_rank(spec, 2, max_cells=3_500)  # degrees 1 and 2 hold 3,360
+    with pytest.raises(ResourceRefusal, match="4550 cells"):
+        betti_number(spec, 1, max_cells=4_000)
+    monkeypatch.undo()
+    monkeypatch.setattr(homology, "_image_cache", {})
+    assert boundary_rank(spec, 2, max_cells=3_830) == 1081
+
+
+def _plant_a_non_cycle(spec):
+    """Cache, one degree above degree 0, an echelon whose row is one cell."""
+    planted = Echelon()
+    planted.absorb({0: 1})
+    homology._image_cache[(spec, 1)] = planted
+
+
+def test_clearing_checks_the_rows_it_relies_on(monkeypatch):
+    spec = permutohedron(4, 2)
+    monkeypatch.setattr(homology, "_image_cache", {})
+    _plant_a_non_cycle(spec)
+    with pytest.raises(CertificateError, match="not a cycle"):
+        image_echelon(spec, 0)
+    with pytest.raises(CertificateError, match="not a cycle"):
+        boundary_rank(spec, 1)
+
+
+def test_clearing_check_raises_under_python_O():
+    printed = run_optimized("""
+        import sys
+        import stripconf.homology as homology
+        from stripconf.cells import permutohedron
+        from stripconf.linalg import Echelon
+
+        spec = permutohedron(4, 2)
+        planted = Echelon()
+        planted.absorb({0: 1})
+        homology._image_cache[(spec, 1)] = planted
+        try:
+            homology.boundary_rank(spec, 1)
+        except homology.CertificateError:
+            print("CertificateError", sys.flags.optimize)
+    """)
+    assert printed == ["CertificateError", "1"]
+
+
+def _kernel_vectors(spec, k):
+    """Cycles e_j - sum c_i e_i, one per column of d_k that depends on the
+    columns before it."""
+    ech, out = Echelon(track=True), []
+    for j, col in enumerate(boundary_matrix(spec, k).columns()):
+        if not ech.absorb(col, tag=j):
+            out.append({j: 1, **{i: -c for i, c in ech.coordinates(col).items()}})
+    return out
+
+
+@pytest.mark.parametrize("spec", [permutohedron(5, 3), _weighted("1 2:2 3 4 5", 3)],
+                         ids=lambda spec: spec.describe())
+def test_cleared_echelons_answer_membership(monkeypatch, rng, spec):
+    monkeypatch.setattr(homology, "_image_cache", {})
+    homology_profile(spec)
+    verdicts = set()
+    for k in range(spec.top_degree()):
+        cells, index = enumerate_cells(spec, k), cell_index(spec, k)
+        columns = boundary_matrix(spec, k + 1).columns()
+        truth = echelon_of_rows(columns)
+        kernel = _kernel_vectors(spec, k) if k else [{j: 1} for j in range(len(cells))]
+        chains = []
+        for _ in range(4):
+            combo = {}
+            for vec in rng.sample(kernel, min(3, len(kernel))):
+                a = rng.choice((-2, -1, 1, 3))
+                for c, v in vec.items():
+                    combo[c] = combo.get(c, 0) + a * v
+            chains.append(ChainVector(spec, k, {cells[c]: v for c, v in combo.items() if v}))
+            chains.append(boundary(random_chain(spec, k + 1, rng)))
+        for z in chains:
+            column = z.to_column(index)
+            bounds = not truth.residue(column)
+            verdicts.add(bounds)
+            for want in (False, True):
+                ans = is_boundary(z, want_witness=want)
+                assert bool(ans) == bounds
+                if ans and want:
+                    assert boundary(ans.witness) == z
+                if not ans:
+                    y = {index[c]: v for c, v in ans.certificate.items()}
+                    assert sum(y.get(r, 0) * v for r, v in column.items()) != 0
+                    assert not any(sum(y.get(r, 0) * v for r, v in col.items())
+                                   for col in columns)
+    assert verdicts == {False, True}
+
+
+def test_permutohedron_seven_three_profile(monkeypatch):
+    monkeypatch.setattr(homology, "_image_cache", {})
+    prof = homology_profile(permutohedron(7, 3))
+    assert prof.betti == (1, 0, 209, 0, 0)
+    assert prof.cells == (5040, 15120, 16800, 7560, 1050)
+
+
+def test_decomposition_check_seven_labels_width_two(monkeypatch):
+    monkeypatch.setattr(homology, "_image_cache", {})
+    rep = decomposition_check(tuple(range(1, 8)), 2)
+    assert rep.ok and rep.sectors == 5040
+    assert rep.left == (1, 1023, 9212, 3150)
+
+
+@pytest.mark.stretch
+def test_decomposition_check_seven_labels_width_three(monkeypatch):
+    monkeypatch.setattr(homology, "_image_cache", {})
+    rep = decomposition_check(tuple(range(1, 8)), 3)
+    assert rep.ok and rep.sectors == 5040
+    assert rep.left == (1, 21, 2568, 6468, 3920)
