@@ -48,7 +48,7 @@ from .basis import AMW, _adjacency_ok, enumerate_basis
 from .cells import wsgn_pairs
 from .chains import ChainVector, boundary, concat, is_cycle
 from .cycles import (AvgFilter, Filter, GeneratorWord, Wheel, _as_tree,
-                     _filter_chain, _spun, _top_cell, admissible_sizes,
+                     _generator_cycle, _spun, _top_cell, admissible_sizes,
                      averaged_filter_cycle, parse_word, wheel_cycle, word_cycle)
 from .homology import CertificateError
 from .maps import comb, segment_chain, tree_labels
@@ -337,9 +337,9 @@ def r5_instance(wheels: Sequence[Wheel], width: int) -> RelationInstance:
     combination = ChainVector.zero(witness.spec, witness.degree - 1)
     coeffs = {}
     for k in range(m1):
-        rest = wheels[:k] + wheels[k + 1:]
         wk = wheel_cycle(wheels[k], width)
-        afk = _filter_chain(rest, width, True)  # raw, also on two wheels
+        # raw, also on two wheels, where the averaged filter is the filter
+        afk = _generator_cycle(trees[:k] + trees[k + 1:], width, m1 > 3)
         combination = (combination + concat(wk, afk).scale(left[k])
                        + concat(afk, wk).scale(right[k]))
         coeffs[("left", k)] = Fraction(left[k])

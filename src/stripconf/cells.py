@@ -43,18 +43,6 @@ _INT64_MAX = 2**63 - 1
 ORDERED = "cell"
 PERMUTOHEDRON = "perm"
 
-# Descriptor of the sign and ordering conventions baked into this module
-# and chains.py.  tests/test_chains.py pins its hash, so a change of
-# convention has to be made on purpose.
-CONVENTIONS = (
-    "block-split boundary (-1)^{wlength(e1)} * wsgn(b -> e1 e2); "
-    "Leibniz sign (-1)^{sum wdim of blocks left}; "
-    "facets by (block, split size, lex mask); "
-    "canonical cell order (block sizes, flattened labels); "
-    "permutohedron blocks ascending"
-)
-
-
 @dataclass(frozen=True)
 class ComplexSpec:
     """A chain-complex universe: label set, weights, width, block-order kind."""
@@ -187,11 +175,6 @@ def _normalize(labels, weights):
 
 def wlength(block: Sequence, spec: ComplexSpec) -> int:
     return sum(spec.weight_of[a] for a in block)
-
-
-def wdim(cell: CellSym, spec: ComplexSpec) -> int:
-    """Weighted dimension: sum over blocks of (wlength - 1).  Sign bookkeeping."""
-    return sum(wlength(b, spec) - 1 for b in cell)
 
 
 def top_dim(cell: CellSym) -> int:
@@ -359,19 +342,6 @@ def wheel_decomposition(perm: Sequence, weight_of=None) -> WheelDecomposition:
         raise ValueError(f"the axles {axles} of {perm} do not increase: "
                          "its entries are not totally ordered")
     return WheelDecomposition(tuple(wheels), weights, axles)
-
-
-def s_of_sigma(sigma: Sequence) -> tuple:
-    """All permutations containing the wheels of sigma as contiguous segments.
-
-    These are the concatenations of sigma's wheels in every order; there are
-    (#wheels)! of them.  Sorted lexicographically.
-    """
-    wheels = wheel_decomposition(sigma).wheels
-    out = set()
-    for order in itertools.permutations(wheels):
-        out.add(tuple(a for w in order for a in w))
-    return tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,14 @@ complementary nonempty subsequences (e1, e2), with coefficient
     (-1)^{wlength(e1)} * wsgn(b -> e1 e2),
 
 and extends to several blocks by the Leibniz rule with Koszul sign
-(-1)^{sum of wdim of the blocks to the left}.  The same formula serves the
-ordered complexes and the weighted permutohedra: subsequences of an
-ascending block are ascending, so no second convention is needed.
+(-1)^{sum of wdim of the blocks to the left}, where a block's wdim is its
+wlength - 1.  The facets of a cell are listed by block, then split size,
+then the lex order of e1's positions in the block.  The same formula
+serves the ordered complexes and the weighted permutohedra: subsequences
+of an ascending block are ascending, so no second convention is needed.
+These conventions, with the cell order of `cells`, are pinned by a digest
+of boundary matrices in the tests, so a change of convention has to be
+made on purpose.
 
 Both signs depend on the weights only through their parities.  A block's
 split signs are therefore read from a table keyed by the tuple of its
@@ -73,9 +78,6 @@ class ChainVector:
     def terms(self):
         """(cell, coefficient) pairs in canonical cell order."""
         return sorted(self.coeffs.items(), key=lambda kv: canonical_key(kv[0]))
-
-    def support(self):
-        return set(self.coeffs)
 
     def __add__(self, other: "ChainVector") -> "ChainVector":
         self._check(other)

@@ -247,9 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact homology of disk configurations in a strip.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, width_required=True):
-        p.add_argument("--w", type=int, required=width_required,
-                       help="strip width")
+    def common(p):
+        p.add_argument("--w", type=int, required=True, help="strip width")
         p.add_argument("--format", choices=("table", "json"), default="table")
 
     def capped(p, default=DEFAULT_MAX_CELLS):

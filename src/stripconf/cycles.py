@@ -207,9 +207,18 @@ def _as_tree(w) -> WheelTree:
 # cycle construction
 
 
-@lru_cache(maxsize=4096)
-def _wheel_cycle_cached(tree: WheelTree, width: Optional[int], weights: Optional[tuple]):
-    return _checked_cycle(_spun(_top_cell((tree,)), (tree,), width, weights=weights))
+@lru_cache(maxsize=8192)
+def _generator_cycle(trees: tuple, width: Optional[int], averaged: bool,
+                     weights: Optional[tuple] = None) -> ChainVector:
+    """The spun top cell on one tree (a wheel), or the spun boundary of the
+    top cell on two or more admissible trees (a raw filter, through q when
+    `averaged`), checked to be a cycle: the one cache of generator chains."""
+    sizes = tuple(map(tree_weight, trees))
+    if not admissible_sizes(sizes, width):
+        raise ValueError(f"inadmissible filter: wheel sizes {sizes} at width {width}")
+    top = _top_cell(trees)
+    chain = top if len(trees) == 1 else boundary(top)
+    return _checked_cycle(_spun(chain, trees, width, averaged, weights))
 
 
 def wheel_cycle(wheel, width: Optional[int], weights: Optional[dict] = None) -> ChainVector:
@@ -218,7 +227,7 @@ def wheel_cycle(wheel, width: Optional[int], weights: Optional[dict] = None) -> 
     wt = None
     if weights is not None:
         wt = tuple(weights[a] for a in sorted(tree_labels(tree)))
-    return _wheel_cycle_cached(tree, width, wt)
+    return _generator_cycle((tree,), width, False, wt)
 
 
 def _checked_cycle(chain: ChainVector) -> ChainVector:
@@ -253,35 +262,27 @@ def _spun(chain: ChainVector, trees: tuple, width: Optional[int],
                       cell_complex(labels, width, weights))
 
 
-def _filter_chain(wheels: tuple, width: Optional[int], averaged: bool) -> ChainVector:
-    """The spun filter on these wheels, in any arity from two up."""
+def _filter_trees(wheels: Sequence) -> tuple:
     trees = tuple(_as_tree(w) for w in wheels)
-    sizes = tuple(map(tree_weight, trees))
-    if len(sizes) < 2:
+    if len(trees) < 2:
         raise ValueError("a filter needs at least two wheels")
-    if not admissible_sizes(sizes, width):
-        raise ValueError(f"inadmissible filter: wheel sizes {sizes} at width {width}")
-    return _checked_cycle(_spun(boundary(_top_cell(trees)), trees, width, averaged))
-
-
-@lru_cache(maxsize=4096)
-def _filter_cycle_cached(trees: tuple, width: Optional[int], averaged: bool) -> ChainVector:
-    chain = _filter_chain(trees, width, averaged)
-    if len(trees) == 2 and not averaged and tree_weight(trees[0]) % 2:
-        return -chain  # the display form on two wheels
-    return chain
+    return trees
 
 
 def filter_cycle(wheels: Sequence, width: Optional[int] = None) -> ChainVector:
     """Filter cycle on a sequence of wheels, trees or label tuples."""
-    return _filter_cycle_cached(tuple(_as_tree(w) for w in wheels), width, False)
+    trees = _filter_trees(wheels)
+    chain = _generator_cycle(trees, width, False)
+    if len(trees) == 2 and tree_weight(trees[0]) % 2:
+        return -chain  # the display form on two wheels
+    return chain
 
 
 def averaged_filter_cycle(wheels: Sequence, width: Optional[int] = None) -> ChainVector:
     """Averaged filter cycle on a sequence of wheels, trees or label tuples."""
-    trees = tuple(_as_tree(w) for w in wheels)
+    trees = _filter_trees(wheels)
     # the averaged filter on two wheels is the filter
-    return _filter_cycle_cached(trees, width, len(trees) != 2)
+    return filter_cycle(trees, width) if len(trees) == 2 else _generator_cycle(trees, width, True)
 
 
 def word_cycle(word: GeneratorWord, width: Optional[int]) -> ChainVector:

@@ -36,8 +36,11 @@ Witnesses, certificates and `express` always work on cells.  A tracked
 echelon spans what a plain one spans, so it serves both kinds of query
 and replaces a plain one when a witness is first asked for.
 
-Every witness and certificate is checked before it is returned; a failed
-check raises CertificateError, which `python -O` does not strip.
+Every witness is checked before it is returned: its boundary must be the
+cycle, and a failed check raises CertificateError, which `python -O` does
+not strip.  A certificate is built by `Echelon.annihilator` to vanish on
+every row of the image echelon and not on the cycle, and is not
+re-checked.
 """
 
 from __future__ import annotations
@@ -482,6 +485,10 @@ def decomposition_check(labels, width: int, weights: Optional[dict] = None,
     weighted axles contributes its homology shifted up by (number of
     labels - number of wheels).  The direct sum over all sigma must equal
     the homology of the ordered complex.
+
+    A permutohedron's cells, signs and ranks depend only on its weights in
+    label order, so each sector is built on positions 1..m: the n! sectors
+    share at most 2^(n-1) cached profiles (on unit weights).
     """
     spec = cell_complex(labels, width, weights)
     weight_of = spec.weight
@@ -492,8 +499,7 @@ def decomposition_check(labels, width: int, weights: Optional[dict] = None,
     for sigma in itertools.permutations(spec.labels):
         dec = wheel_decomposition(sigma, weight_of)
         shift = spec.n - len(dec.wheels)
-        pw = dict(zip(dec.superlabels, dec.weights))
-        pspec = permutohedron(dec.superlabels, width, pw)
+        pspec = permutohedron(len(dec.weights), width, dec.weights)
         prof = homology_profile(pspec, max_cells=max_cells)
         sectors += 1
         for d, b in enumerate(prof.betti):

@@ -218,11 +218,3 @@ def echelon_of_rows(rows: Sequence[dict], track: bool = False) -> Echelon:
 
 def rank_of_rows(rows: Sequence[dict]) -> int:
     return echelon_of_rows(rows).rank
-
-
-def solve_exact(rows: Sequence[dict], target: dict) -> Optional[dict]:
-    """Coefficients c with sum c[i] * rows[i] = target, or None.
-
-    Deterministic: the absorption order prefers least input indices.
-    """
-    return echelon_of_rows(rows, track=True).coordinates(target)

@@ -84,14 +84,6 @@ def tree_weight(tree: WheelTree, weight_of=None) -> int:
     return sum(weight_of(a) for a in tree_labels(tree))
 
 
-def is_left_comb(tree: WheelTree) -> bool:
-    while isinstance(tree, Node):
-        if not isinstance(tree.right, Leaf):
-            return False
-        tree = tree.left
-    return True
-
-
 def segment_chain(tree: WheelTree, weight_of) -> dict:
     """The one-block chain a point spins out to along a split tree.
 

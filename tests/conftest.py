@@ -2,10 +2,12 @@
 
 Most tests pin small exact values computed once and checked into the
 suite; the helpers here only cover the recurring chores of building
-wheels on consecutive label blocks, sampling random chains and running a
-script under `python -O`.
+wheels on consecutive label blocks, listing the orbit S(sigma) of a
+permutation, sampling random chains and running a script under
+`python -O`.
 """
 
+import itertools
 import os
 import random
 import subprocess
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from stripconf.cells import cell_complex, enumerate_cells
+from stripconf.cells import cell_complex, enumerate_cells, wheel_decomposition
 from stripconf.chains import ChainVector
 from stripconf.cycles import Wheel
 
@@ -27,6 +29,17 @@ def wheels_on_blocks(sizes, start=1):
         wheels.append(Wheel(tuple(range(nxt + n - 1, nxt - 1, -1))))
         nxt += n
     return tuple(wheels)
+
+
+def s_of_sigma(sigma) -> tuple:
+    """All permutations containing the wheels of sigma as contiguous segments.
+
+    These are the concatenations of sigma's wheels in every order; there are
+    (#wheels)! of them.  Sorted lexicographically.
+    """
+    wheels = wheel_decomposition(sigma).wheels
+    return tuple(sorted({tuple(a for w in order for a in w)
+                         for order in itertools.permutations(wheels)}))
 
 
 def random_chain(spec, degree, rng, terms=4):

@@ -35,7 +35,7 @@ from stripconf.cycles import (AvgFilter, Filter, GeneratorWord, Node, Leaf, Whee
                               admissible_sizes, comb, parse_word, wheel_cycle,
                               word_cycle)
 from stripconf.homology import is_boundary
-from stripconf.linalg import solve_exact
+from stripconf.linalg import echelon_of_rows
 from stripconf.maps import tree_labels
 
 from conftest import run_optimized, wheels_on_blocks
@@ -94,7 +94,7 @@ def properize_by_solving(tree):
     index = cell_index(cell_complex(labels, n), n - 1)
     propers = [(labels[-1],) + rest for rest in itertools.permutations(labels[:-1])]
     rows = [wheel_cycle(p, n).to_column(index) for p in propers]
-    sol = solve_exact(rows, wheel_cycle(tree, n).to_column(index))
+    sol = echelon_of_rows(rows, track=True).coordinates(wheel_cycle(tree, n).to_column(index))
     assert sol is not None
     return {propers[i]: c for i, c in sorted(sol.items())}
 

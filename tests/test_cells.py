@@ -15,17 +15,16 @@ from stripconf.cells import (
     parse_cell,
     parse_weighted_set,
     permutohedron,
-    s_of_sigma,
     top_dim,
     validate_cell,
-    wdim,
     wheel_decomposition,
+    wlength,
     wsgn,
     wsgn_pairs,
 )
 from stripconf.homology import homology_profile
 
-from conftest import run_optimized
+from conftest import run_optimized, s_of_sigma
 
 
 def test_describe_round_trip():
@@ -185,7 +184,8 @@ def test_top_degree_is_quick_for_many_labels():
 def test_dims_and_signs():
     spec = cell_complex(3, 2)
     assert top_dim(((3, 1), (2,))) == 1
-    assert wdim(((3, 1), (2,)), spec) == 1
+    # weighted dimension: the sum over blocks of wlength - 1
+    assert sum(wlength(b, spec) - 1 for b in ((3, 1), (2,))) == 1
     assert wsgn((1, 2, 3), (2, 1, 3), cell_complex(3, 3)) == -1
     # even weights do not count toward inversions
     labels, weights = parse_weighted_set("1:1 2:2")

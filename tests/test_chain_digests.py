@@ -21,12 +21,12 @@ import random
 import pytest
 
 from stripconf.algebra import r2_instance, r5_instance
-from stripconf.cells import cell_complex, permutohedron, s_of_sigma, wheel_decomposition
+from stripconf.cells import cell_complex, permutohedron, wheel_decomposition
 from stripconf.cycles import Leaf, Node, Wheel, averaged_filter_cycle, filter_cycle, wheel_cycle
 from stripconf.maps import (SpinStep, include_permutohedron, project_p, spin, spin_sigma,
                             spin_tau_sigma)
 
-from conftest import random_chain, wheels_on_blocks
+from conftest import random_chain, s_of_sigma, wheels_on_blocks
 
 
 def _chain_text(chain) -> str:

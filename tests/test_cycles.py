@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from stripconf.algebra import r5_closed_form, r5_instance
 from stripconf.chains import concat, is_cycle
 from stripconf.cycles import (
     AvgFilter,
@@ -11,7 +12,7 @@ from stripconf.cycles import (
     GeneratorWord,
     Wheel,
     WordSyntaxError,
-    _filter_chain,
+    _generator_cycle,
     averaged_filter_cycle,
     filter_cycle,
     format_word,
@@ -19,9 +20,9 @@ from stripconf.cycles import (
     wheel_cycle,
     word_cycle,
 )
-from stripconf.maps import Leaf, Node, comb, is_left_comb, tree_labels
+from stripconf.maps import Leaf, Node, comb, tree_labels
 
-from conftest import run_optimized
+from conftest import run_optimized, wheels_on_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +50,15 @@ def test_rank_key_orders_by_size_then_top():
     assert Wheel((9,)).rank_key() < Wheel((2, 1)).rank_key()
     assert sorted([Wheel((4, 1)), Wheel((3,)), Wheel((5, 2))], key=Wheel.rank_key) == \
         [Wheel((3,)), Wheel((4, 1)), Wheel((5, 2))]
+
+
+def is_left_comb(tree) -> bool:
+    """Whether every node of the tree has a leaf on its right."""
+    while isinstance(tree, Node):
+        if not isinstance(tree.right, Leaf):
+            return False
+        tree = tree.left
+    return True
 
 
 def test_comb_is_the_left_comb():
@@ -123,14 +133,47 @@ def test_two_wheel_filter_is_the_display_form():
 
 def test_raw_filter_chain_differs_from_display_by_first_size():
     # the spun construction on two wheels equals (-1)^{n1} times the display
-    # form W1|W2 + (-1)^{(n1-1)(n2-1)+1} W2|W1, for sizes 1 to 3 on each side
+    # form W1|W2 + (-1)^{(n1-1)(n2-1)+1} W2|W1, for sizes 1 to 3 on each side;
+    # the R5 relation reads that raw form for its two-wheel AF_k
     for n1, n2 in itertools.product((1, 2, 3), repeat=2):
         wheels = (Wheel(tuple(range(n1, 0, -1))), Wheel(tuple(range(10 + n2, 10, -1))))
         w1, w2 = (wheel_cycle(w, 4) for w in wheels)
         disp = filter_cycle(wheels, 4)
         assert disp == concat(w1, w2) + concat(w2, w1).scale((-1) ** ((n1 - 1) * (n2 - 1) + 1))
-        raw = _filter_chain(tuple(w.tree() for w in wheels), 4, False)
+        raw = _generator_cycle(tuple(w.tree() for w in wheels), 4, False)
         assert raw == disp.scale((-1) ** n1)
+        w0 = Wheel((20,))
+        left, right = r5_closed_form((1, n1, n2))
+        wk = (wheel_cycle(w0, 4), w1, w2)
+        afk = (raw, filter_cycle((w0, wheels[1]), 4).scale(-1),
+               filter_cycle((w0, wheels[0]), 4).scale(-1))
+        terms = [t for k in range(3) for t in (concat(wk[k], afk[k]).scale(left[k]),
+                                               concat(afk[k], wk[k]).scale(right[k]))]
+        combination = sum(terms[1:], terms[0])
+        assert r5_instance((w0, *wheels), 4).difference == combination
+
+
+def test_one_generator_cycle_entry_serves_every_caller():
+    # wheels, filters, averaged filters and the R5 relation share the
+    # cached chains: once R5 has built them, the others build nothing
+    _generator_cycle.cache_clear()
+    wheels = wheels_on_blocks((2, 1, 3))
+    pairs = [wheels[:k] + wheels[k + 1:] for k in range(3)]
+    r5_instance(wheels, 4)
+    misses = _generator_cycle.cache_info().misses
+    assert misses == 6  # three wheels and three raw two-wheel filters
+    calls = ([lambda w=w: wheel_cycle(w, 4) for w in wheels]
+             + [lambda p=p: filter_cycle(p, 4) for p in pairs]
+             + [lambda p=p: averaged_filter_cycle(p, 4) for p in pairs])
+    for call in calls:
+        call()
+    assert _generator_cycle.cache_info().misses == misses
+    averaged_filter_cycle(wheels, 5)
+    misses += 1
+    for call in [*calls, lambda: r5_instance(wheels, 4),
+                 lambda: averaged_filter_cycle(wheels, 5)]:
+        call()
+        assert _generator_cycle.cache_info().misses == misses
 
 
 def test_plain_filter_coefficients_are_ints():

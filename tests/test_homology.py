@@ -385,6 +385,25 @@ def test_decomposition_check_weighted():
     assert rep.sectors == 2
 
 
+def test_decomposition_sectors_share_profiles_by_weight_pattern(monkeypatch):
+    # each sector's permutohedron sits on positions 1..m, so the 120 sectors
+    # of five unit labels ask for at most one profile per composition of 5
+    real = homology.homology_profile
+    asked = set()
+
+    def spy(spec, **kwargs):
+        if spec.kind == "perm":
+            asked.add(spec)
+        return real(spec, **kwargs)
+
+    monkeypatch.setattr(homology, "homology_profile", spy)
+    rep = decomposition_check(5, 3)
+    assert len(asked) <= 16
+    assert all(spec.labels == tuple(range(1, spec.n + 1)) for spec in asked)
+    assert (rep.ok, rep.left, rep.right, rep.sectors) == \
+        (True, (1, 10, 169, 40), (1, 10, 169, 40), 120)
+
+
 def test_decomposition_check_rejects_a_sector_above_the_top(monkeypatch):
     # a sector claiming homology above the ordered complex's top degree is
     # a failed check, not a silently dropped term

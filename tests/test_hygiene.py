@@ -6,10 +6,9 @@ read as a name, named in a string annotation, or listed in the module's
 
 Every top-level function, class and alias (a module-level name bound by
 assignment) in `src/stripconf` must be referenced somewhere in the
-package or the tests outside its own definition: as a name, an attribute
-or an imported name, or by being listed in `__all__`.  The few kept only
-for the tests, referenced nowhere in the package itself, are pinned by
-name.
+package outside its own definition: as a name, an attribute or an
+imported name, or by being listed in `__all__`.  References from the
+tests do not count, so no code lives in the package for the tests alone.
 
 The package's caches, `lru_cache`d functions and module-level `*_cache`
 dicts, are pinned by name, so adding or dropping one is done on purpose.
@@ -32,8 +31,7 @@ from pathlib import Path
 
 import pytest
 
-TESTS = Path(__file__).resolve().parent
-PACKAGE = TESTS.parent / "src" / "stripconf"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stripconf"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -100,17 +98,15 @@ def _defined_names(node: ast.stmt) -> list:
     return [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")]
 
 
-def unused_definitions(modules: dict, others=()) -> list:
+def unused_definitions(modules: dict) -> list:
     """(module, line, name) of each unreferenced top-level def, class or alias.
 
-    `modules` maps a module name to the source whose definitions are
-    checked; `others` are further sources that only count as references.
-    A definition's own body, where a recursive call lives, does not count.
+    `modules` maps a module name to its source.  A definition's own body,
+    where a recursive call lives, does not count as a reference.
     """
     trees = {name: ast.parse(source) for name, source in modules.items()}
-    every_tree = [*trees.values(), *(ast.parse(source) for source in others)]
-    exported = set().union(*map(_exported_names, every_tree))
-    refs = [(stmt, _referenced_names(stmt)) for tree in every_tree for stmt in tree.body]
+    exported = set().union(*map(_exported_names, trees.values()))
+    refs = [(stmt, _referenced_names(stmt)) for tree in trees.values() for stmt in tree.body]
     found = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -141,20 +137,8 @@ def test_checker_flags_unused_and_honours_all():
 
 
 def test_no_unreferenced_top_level_definitions():
-    modules = {p.stem: p.read_text() for p in MODULES}
-    tests = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
-    assert unused_definitions(modules, tests) == []
-
-
-# referenced by the tests only: the pinned sign-convention descriptor,
-# small helpers whose values the tests check directly, and the exact
-# solve behind the reference check of R1
-TEST_ONLY = {"CONVENTIONS", "is_left_comb", "s_of_sigma", "solve_exact", "wdim"}
-
-
-def test_only_pinned_definitions_live_for_the_tests_alone():
-    modules = {p.stem: p.read_text() for p in MODULES}
-    assert {name for _, _, name in unused_definitions(modules)} == TEST_ONLY
+    # the package alone: a definition only the tests read belongs in the tests
+    assert unused_definitions({p.stem: p.read_text() for p in MODULES}) == []
 
 
 CACHE_SITES = {
@@ -162,8 +146,7 @@ CACHE_SITES = {
     "cells.enumerate_cells",
     "chains._splits",
     "chains.boundary_cell",
-    "cycles._filter_cycle_cached",
-    "cycles._wheel_cycle_cached",
+    "cycles._generator_cycle",
     "homology._fill_count",
     "homology._image_cache",
 }
@@ -248,9 +231,9 @@ def test_definition_checker_flags_unreferenced_and_honours_all():
             "__all__ = ['exported']\n"
         ),
         "b": "from a import by_import\nby_name()\n",
+        "c": "import a\na.by_attribute()\n",
     }
-    others = ["import a\na.by_attribute()\n"]
-    assert unused_definitions(modules, others) == [("a", 4, "recursive"), ("a", 6, "Dead")]
+    assert unused_definitions(modules) == [("a", 4, "recursive"), ("a", 6, "Dead")]
 
 
 def test_definition_checker_flags_unreferenced_aliases():

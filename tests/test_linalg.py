@@ -8,7 +8,6 @@ from stripconf.linalg import (
     Echelon,
     echelon_of_rows,
     rank_of_rows,
-    solve_exact,
 )
 
 entries = st.integers(min_value=-4, max_value=4)
@@ -98,17 +97,18 @@ def test_absorb_reports_rank_growth():
 
 def test_solve_exact_simple():
     rows = [{0: 1, 1: 1}, {1: 1}]
-    sol = solve_exact(rows, {0: 2, 1: 3})
+    sol = echelon_of_rows(rows, track=True).coordinates({0: 2, 1: 3})
     assert sol == {0: 2, 1: 1}
     assert all(type(v) is int for v in sol.values())
-    assert solve_exact([{0: 2}], {0: 1}) == {0: Fraction(1, 2)}
-    assert solve_exact([{0: 1}], {1: 1}) is None
+    assert echelon_of_rows([{0: 2}], track=True).coordinates({0: 1}) == {0: Fraction(1, 2)}
+    assert echelon_of_rows([{0: 1}], track=True).coordinates({1: 1}) is None
 
 
 def test_solve_is_deterministic():
     rows = [{0: 1}, {0: 1, 1: 1}, {1: 1}]
     target = {0: 1, 1: 1}
-    assert solve_exact(rows, target) == solve_exact(rows, target)
+    first, second = (echelon_of_rows(rows, track=True).coordinates(target) for _ in range(2))
+    assert first == second
 
 
 @settings(max_examples=120, deadline=None)
@@ -116,7 +116,7 @@ def test_solve_is_deterministic():
 def test_solve_roundtrip(rows, data):
     coeffs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
     target = combine(rows, coeffs)
-    sol = solve_exact(rows, target)
+    sol = echelon_of_rows(rows, track=True).coordinates(target)
     assert sol is not None
     dense = [Fraction(0)] * len(rows)
     for i, c in sol.items():

@@ -5,7 +5,7 @@ import pytest
 
 from stripconf.cells import cell_complex, enumerate_cells, permutohedron, wheel_decomposition
 from stripconf.chains import ChainVector, boundary, is_cycle
-from stripconf.cycles import _filter_chain
+from stripconf.cycles import _generator_cycle
 from stripconf.maps import (
     SpinStep,
     averaged_inclusion_q,
@@ -128,7 +128,7 @@ def test_spin_composition_matches_direct_filter_chain():
         m = len(dec.wheels)
         top = ChainVector(pspec, m - 1, {(dec.superlabels,): Fraction(1)})
         built = spin_sigma(sigma, averaged_inclusion_q(boundary(top)))
-        direct = _filter_chain(tuple(comb(w) for w in dec.wheels), width, True)
+        direct = _generator_cycle(tuple(comb(w) for w in dec.wheels), width, True)
         assert built == direct
 
 
