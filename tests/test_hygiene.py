@@ -6,9 +6,10 @@ read as a name, named in a string annotation, or listed in the module's
 
 Every top-level function, class and alias (a module-level name bound by
 assignment) in `src/stripconf` must be referenced somewhere in the
-package outside its own definition: as a name, an attribute or an
-imported name, or by being listed in `__all__`.  References from the
-tests do not count, so no code lives in the package for the tests alone.
+package or the tests outside its own definition: as a name, an attribute
+or an imported name, or by being listed in `__all__`.  The set kept only
+for the tests, referenced nowhere in the package itself, is pinned by
+name, and it is empty: no code lives in the package for the tests alone.
 
 The package's caches, `lru_cache`d functions and module-level `*_cache`
 dicts, are pinned by name, so adding or dropping one is done on purpose.
@@ -31,7 +32,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stripconf"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "stripconf"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -98,15 +100,17 @@ def _defined_names(node: ast.stmt) -> list:
     return [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")]
 
 
-def unused_definitions(modules: dict) -> list:
+def unused_definitions(modules: dict, others=()) -> list:
     """(module, line, name) of each unreferenced top-level def, class or alias.
 
-    `modules` maps a module name to its source.  A definition's own body,
-    where a recursive call lives, does not count as a reference.
+    `modules` maps a module name to the source whose definitions are
+    checked; `others` are further sources that only count as references.
+    A definition's own body, where a recursive call lives, does not count.
     """
     trees = {name: ast.parse(source) for name, source in modules.items()}
-    exported = set().union(*map(_exported_names, trees.values()))
-    refs = [(stmt, _referenced_names(stmt)) for tree in trees.values() for stmt in tree.body]
+    every_tree = [*trees.values(), *(ast.parse(source) for source in others)]
+    exported = set().union(*map(_exported_names, every_tree))
+    refs = [(stmt, _referenced_names(stmt)) for tree in every_tree for stmt in tree.body]
     found = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -137,8 +141,19 @@ def test_checker_flags_unused_and_honours_all():
 
 
 def test_no_unreferenced_top_level_definitions():
-    # the package alone: a definition only the tests read belongs in the tests
-    assert unused_definitions({p.stem: p.read_text() for p in MODULES}) == []
+    modules = {p.stem: p.read_text() for p in MODULES}
+    tests = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
+    assert unused_definitions(modules, tests) == []
+
+
+# referenced by the tests only: none; a definition only the tests read
+# belongs in the tests
+TEST_ONLY = set()
+
+
+def test_only_pinned_definitions_live_for_the_tests_alone():
+    modules = {p.stem: p.read_text() for p in MODULES}
+    assert {name for _, _, name in unused_definitions(modules)} == TEST_ONLY
 
 
 CACHE_SITES = {
@@ -231,9 +246,9 @@ def test_definition_checker_flags_unreferenced_and_honours_all():
             "__all__ = ['exported']\n"
         ),
         "b": "from a import by_import\nby_name()\n",
-        "c": "import a\na.by_attribute()\n",
     }
-    assert unused_definitions(modules) == [("a", 4, "recursive"), ("a", 6, "Dead")]
+    others = ["import a\na.by_attribute()\n"]
+    assert unused_definitions(modules, others) == [("a", 4, "recursive"), ("a", 6, "Dead")]
 
 
 def test_definition_checker_flags_unreferenced_aliases():
