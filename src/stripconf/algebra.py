@@ -39,14 +39,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .basis import AMW, _adjacency_ok, enumerate_basis
 from .cells import wsgn_pairs
-from .chains import ChainVector, boundary, concat, is_cycle
+from .chains import ChainVector, boundary, bounds, concat, is_cycle
 from .cycles import (AvgFilter, Filter, GeneratorWord, Wheel, _as_tree,
                      _generator_cycle, _spun, _top_cell, admissible_sizes,
                      averaged_filter_cycle, parse_word, wheel_cycle, word_cycle)
@@ -219,8 +219,7 @@ class RelationInstance:
     def verified(self) -> bool:
         if self.witness is None:
             return self.difference.is_zero()
-        return (is_cycle(self.difference)
-                and boundary(self.witness) == self.difference)
+        return is_cycle(self.difference) and bounds(self.witness, self.difference)
 
     def __str__(self):
         kind = "exact" if self.witness is None else "boundary-witnessed"
@@ -472,15 +471,15 @@ def _rewrite(word: GeneratorWord, coeff, width: int, spot: tuple,
             raise CertificateError(f"the closed form gives {word} the coefficient "
                                    f"{left[0]}, not 1")
         prefix, suffix = word.factors[:i], word.factors[i + 2:]
-        sides = [("left", k, left[k]) for k in range(1, len(group))]
-        sides += [("right", k, right[k]) for k in range(len(group))]
+        total = w0.size + af.total
+        # a trivial filter makes its terms boundaries
+        rests = {k: _r5_rest(w0, af, k) for k, wk in enumerate(group)
+                 if total - wk.size > width}
+        sides = [("left", k, left[k]) for k in range(1, len(group)) if k in rests]
+        sides += [("right", k, right[k]) for k in range(len(group)) if k in rests]
         for side, k, c in sides:
-            wk = group[k]
-            rest = group[:k] + group[k + 1:]
-            if sum(w.size for w in rest) <= width:
-                continue  # trivial filter: that term is a boundary
-            nf, sign = _normalize_filter(rest)
-            middle = (wk, nf) if side == "left" else (nf, wk)
+            nf, sign = rests[k]
+            middle = (group[k], nf) if side == "left" else (nf, group[k])
             new = GeneratorWord(prefix + middle + suffix)
             out.append((new, coeff * (-c * sign)))
     children = []
@@ -491,6 +490,23 @@ def _rewrite(word: GeneratorWord, coeff, width: int, spot: tuple,
                                    f"from {word} to {new}")
         children.append((new, c, nu))
     return children
+
+
+def _r5_rest(w0: Wheel, af: AvgFilter, k: int) -> Tuple[AvgFilter, int]:
+    """The filter on the wheels of (w0,) + af.wheels but the k-th, rank-sorted,
+    with its R3 sign: what _normalize_filter gives, read off af's order.
+
+    Rest 0 is af itself.  Rest k >= 1 leaves out wheel k-1 of af and inserts
+    w0 at its rank, passing the wheels that rank below it; the sign is -1
+    exactly when w0 has odd size and passes an odd number of odd-size wheels.
+    """
+    if k == 0:
+        return af, 1
+    others = af.wheels[:k - 1] + af.wheels[k:]
+    at = bisect_left(others, w0.rank_key(), key=Wheel.rank_key)
+    passed = sum(w.size & 1 for w in others[:at])
+    sign = -1 if w0.size & 1 and passed & 1 else 1
+    return AvgFilter(others[:at] + (w0,) + others[at:]), sign
 
 
 def reduce(x: Union[GeneratorWord, WordCombination, str], width: int,

@@ -24,13 +24,25 @@ whose wlength is even, i.e. which holds an even number of odd weights.
 `boundary_cell` caches the facets of a cell, which chain-level `boundary`
 calls ask for again and again; a boundary matrix asks for each cell once,
 so its build bypasses that cache.
+
+Chain-level boundaries sum in ints.  A chain is scaled by the least common
+multiple `den` of its coefficients' denominators, so each facet sum of
+d(den * chain) is an int; a chain of ints is used as it is.  `boundary`
+converts only the nonzero sums back: an int where only ints reached the
+facet, `Fraction(sum, den)` where a Fraction did, which is what summing in
+the coefficients' own types gives.  `is_cycle` tests the int sums for zero
+and builds no chain, and `bounds(witness, chain)` compares
+d(den * witness) with den * chain in ints, `den` taken over both.  Every
+facet of every cell is still summed exactly; only the number type changes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -179,16 +191,61 @@ def boundary_cell(spec: ComplexSpec, cell) -> tuple:
     return tuple(out)
 
 
-def boundary(chain: ChainVector) -> ChainVector:
+def _denominator(coeffs: dict, den: int = 1) -> int:
+    """The least common multiple of `den` and the coefficients' denominators."""
+    for v in coeffs.values():
+        if type(v) is not int:
+            den = lcm(den, v.denominator)
+    return den
+
+
+def _scaled(coeffs: dict, den: int):
+    """(cell, den * coefficient) pairs, all integral; at den 1 the
+    coefficients pass as they are."""
+    if den == 1:
+        return coeffs.items()
+    return [(c, v.numerator * (den // v.denominator)) for c, v in coeffs.items()]
+
+
+def _facet_sums(spec: ComplexSpec, pairs) -> dict:
+    """Facet -> sum of coefficient * sign over the (cell, coefficient)
+    pairs; sums that cancel stay in as zeros."""
     out: dict = {}
-    for cell, v in chain.coeffs.items():
-        for facet, s in boundary_cell(chain.spec, cell):
-            out[facet] = out.get(facet, 0) + v * s
-    return ChainVector(chain.spec, chain.degree - 1, out)
+    get = out.get
+    for cell, n in pairs:
+        for facet, s in boundary_cell(spec, cell):
+            out[facet] = get(facet, 0) + n * s
+    return out
+
+
+def boundary(chain: ChainVector) -> ChainVector:
+    spec, coeffs = chain.spec, chain.coeffs
+    den = _denominator(coeffs)
+    sums = _facet_sums(spec, _scaled(coeffs, den))
+    if den > 1:
+        # a Fraction wherever a Fraction coefficient reaches, an int elsewhere
+        fractional = {facet for cell, v in coeffs.items() if type(v) is not int
+                      for facet, _ in boundary_cell(spec, cell)}
+        sums = {f: Fraction(n, den) if f in fractional else n // den
+                for f, n in sums.items() if n}
+    return ChainVector(spec, chain.degree - 1, sums)
 
 
 def is_cycle(chain: ChainVector) -> bool:
-    return chain.degree == 0 or boundary(chain).is_zero()
+    if chain.degree == 0:
+        return True
+    den = _denominator(chain.coeffs)
+    return not any(_facet_sums(chain.spec, _scaled(chain.coeffs, den)).values())
+
+
+def bounds(witness: ChainVector, chain: ChainVector) -> bool:
+    """Whether the boundary of `witness` is `chain`: both are scaled by the
+    least common multiple of all their denominators and compared in ints."""
+    if witness.spec != chain.spec or witness.degree != chain.degree + 1:
+        return False
+    den = _denominator(witness.coeffs, _denominator(chain.coeffs))
+    sums = _facet_sums(witness.spec, _scaled(witness.coeffs, den))
+    return {f: n for f, n in sums.items() if n} == dict(_scaled(chain.coeffs, den))
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,11 @@ echelon spans what a plain one spans, so it serves both kinds of query
 and replaces a plain one when a witness is first asked for.
 
 Every witness is checked before it is returned: its boundary must be the
-cycle, and a failed check raises CertificateError, which `python -O` does
-not strip.  A certificate is built by `Echelon.annihilator` to vanish on
-every row of the image echelon and not on the cycle, and is not
-re-checked.
+cycle, compared in ints after both are scaled by their common denominator
+(`chains.bounds`), and a failed check raises CertificateError, which
+`python -O` does not strip.  A certificate is built by
+`Echelon.annihilator` to vanish on every row of the image echelon and not
+on the cycle, and is not re-checked.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from typing import Dict, Optional, Sequence
 
 from .cells import (ORDERED, ComplexSpec, cell_complex, cell_index,
                     enumerate_cells, permutohedron, wheel_decomposition)
-from .chains import ChainVector, boundary, boundary_matrix, is_cycle
+from .chains import ChainVector, boundary_matrix, bounds, is_cycle
 from .equivariant import block_ranks, orbits
 from .linalg import Echelon, echelon_of_rows
 
@@ -425,7 +426,7 @@ def is_boundary(chain: ChainVector, want_witness: bool = False,
         return BoundaryAnswer(False, certificate={cells[c]: v for c, v in y.items()})
     upcells = enumerate_cells(spec, k + 1)
     witness = ChainVector(spec, k + 1, {upcells[j]: v for j, v in coords.items()})
-    if boundary(witness) != chain:
+    if not bounds(witness, chain):
         raise CertificateError("the boundary witness does not reproduce the cycle")
     return BoundaryAnswer(True, witness=witness)
 

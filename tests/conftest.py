@@ -3,8 +3,8 @@
 Most tests pin small exact values computed once and checked into the
 suite; the helpers here only cover the recurring chores of building
 wheels on consecutive label blocks, listing the orbit S(sigma) of a
-permutation, sampling random chains and running a script under
-`python -O`.
+permutation, sampling random chains, summing a boundary in the
+coefficients' own number types and running a script under `python -O`.
 """
 
 import itertools
@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from stripconf.cells import cell_complex, enumerate_cells, wheel_decomposition
-from stripconf.chains import ChainVector
+from stripconf.chains import ChainVector, boundary_cell
 from stripconf.cycles import Wheel
 
 
@@ -50,6 +50,17 @@ def random_chain(spec, degree, rng, terms=4):
     for cell in rng.sample(cells, min(terms, len(cells))):
         coeffs[cell] = rng.choice((-2, -1, 1, 2, 3))
     return ChainVector(spec, degree, coeffs)
+
+
+def rational_boundary(chain):
+    """The boundary of a chain summed facet by facet in its coefficients' own
+    types: an int where only ints reach a facet, else a Fraction.  The
+    reference for the integer kernel of `chains.boundary`."""
+    out: dict = {}
+    for cell, v in chain.coeffs.items():
+        for facet, s in boundary_cell(chain.spec, cell):
+            out[facet] = out.get(facet, 0) + v * s
+    return ChainVector(chain.spec, chain.degree - 1, out)
 
 
 def run_optimized(script: str) -> list:

@@ -27,6 +27,8 @@ from stripconf.algebra import (
     stability_params,
     _first_violation,
     _measure,
+    _normalize_filter,
+    _r5_rest,
     _rewrite,
 )
 from stripconf.cells import cell_complex, cell_index
@@ -283,6 +285,33 @@ def test_reduce_pushes_wheel_through_filter():
     assert all(abs(c) == 1 for c in out.terms.values())
     for word in out.terms:
         assert _first_violation(word, 2) is None
+
+
+def _rewrite_filter_shapes(width):
+    """Wheel sizes of the admissible, nontrivial filters on three or more
+    wheels that the rewriting pushes through: the benchmark's pool shapes."""
+    return [sizes for m in range(3, width + 2)
+            for sizes in itertools.combinations_with_replacement(range(1, width + 1), m)
+            if sum(sizes) > width and sum(sizes) - sizes[0] <= width]
+
+
+@pytest.mark.parametrize("width", (2, 3, 4))
+def test_r5_rests_match_normalize_filter(width):
+    seen = 0
+    for shape in _rewrite_filter_shapes(width):
+        for n0 in range(1, width + 1):
+            sizes = (n0,) + shape
+            # every assignment of consecutive label blocks to the wheels, so
+            # wheels of one size meet in every order of their top labels
+            for order in itertools.permutations(range(len(sizes))):
+                blocks = wheels_on_blocks(tuple(sizes[j] for j in order))
+                w0, *wheels = (blocks[order.index(j)] for j in range(len(sizes)))
+                af, _ = _normalize_filter(wheels)
+                group = (w0,) + af.wheels
+                for k in range(len(group)):
+                    assert _r5_rest(w0, af, k) == _normalize_filter(group[:k] + group[k + 1:])
+                    seen += 1
+    assert seen > 100
 
 
 def test_reduce_is_idempotent():

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from stripconf.chains import (
     boundary,
     boundary_cell,
     boundary_matrix,
+    bounds,
     concat,
     concat_all,
     is_cycle,
@@ -26,7 +28,7 @@ from stripconf.chains import (
     verify_boundary_squared,
 )
 
-from conftest import random_chain
+from conftest import random_chain, rational_boundary
 
 
 def test_boundary_of_a_two_block():
@@ -168,6 +170,95 @@ def test_boundary_cell_matches_boundary():
     via_cell = dict(boundary_cell(spec, cell))
     via_chain = boundary(ChainVector(spec, 1, {cell: 1})).coeffs
     assert via_cell == via_chain
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the rational loop
+
+# both kinds, unit and weighted
+ORACLE_SPECS = [
+    cell_complex(4, 3), cell_complex((1, 2, 3, 4), 4, (2, 1, 3, 1)),
+    permutohedron(5, 3), permutohedron((1, 2, 3, 4), 4, (3, 2, 1, 2)),
+]
+DIVISORS_5040 = tuple(d for d in range(1, 5041) if 5040 % d == 0)
+
+
+def _coefficient(kind, rng):
+    if kind == "int" or kind == "mixed" and rng.random() < 0.5:
+        return rng.choice((-3, -2, -1, 1, 2, 3))
+    den = rng.choice((rng.choice(DIVISORS_5040), rng.randint(1, 5040)))
+    return Fraction(rng.choice((-7, -3, -1, 1, 2, 5)), den)
+
+
+def _oracle_chains(spec, rng):
+    for degree in range(1, spec.top_degree() + 1):
+        cells = enumerate_cells(spec, degree)
+        for kind in ("int", "fraction", "mixed"):
+            for terms in (1, 3, 12):
+                picked = rng.sample(cells, min(terms, len(cells)))
+                yield ChainVector(spec, degree, {c: _coefficient(kind, rng) for c in picked})
+
+
+def _cancelling_cycles(spec, rng):
+    """Boundaries of chains whose cells carry pairwise different
+    denominators: their own boundaries cancel only across denominators."""
+    for degree in range(2, spec.top_degree() + 1):
+        cells = enumerate_cells(spec, degree)
+        for terms in (2, 5):
+            picked = rng.sample(cells, min(terms, len(cells)))
+            dens = rng.sample(DIVISORS_5040[1:], len(picked))
+            yield rational_boundary(ChainVector(
+                spec, degree, {c: Fraction(rng.choice((-1, 1, 2)), d)
+                               for c, d in zip(picked, dens)}))
+
+
+def assert_matches_the_rational_loop(chain):
+    got, want = boundary(chain), rational_boundary(chain)
+    assert (got.spec, got.degree) == (want.spec, want.degree)
+    assert got.coeffs.keys() == want.coeffs.keys()
+    for facet, v in want.coeffs.items():
+        assert got.coeffs[facet] == v
+        assert type(got.coeffs[facet]) is type(v)
+    assert is_cycle(chain) == want.is_zero()
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.describe())
+def test_boundary_matches_the_rational_loop(spec):
+    rng = random.Random(5040)
+    for chain in _oracle_chains(spec, rng):
+        assert_matches_the_rational_loop(chain)
+    # integral Fractions take the den-1 path, where a Fraction stays one
+    chain = ChainVector(spec, 1, {c: Fraction(k) for k, c in
+                                  enumerate(enumerate_cells(spec, 1)[:4], start=1)})
+    assert_matches_the_rational_loop(chain)
+    assert_matches_the_rational_loop(chain + ChainVector(
+        spec, 1, {enumerate_cells(spec, 1)[-1]: 5}))
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.describe())
+def test_cycles_that_cancel_across_denominators(spec):
+    rng = random.Random(7)
+    for z in _cancelling_cycles(spec, rng):
+        assert len({v.denominator for v in z.coeffs.values()}) > 1
+        assert is_cycle(z) and boundary(z).is_zero()
+        assert_matches_the_rational_loop(z)
+        off = z + ChainVector.of_cell(spec, next(iter(z.coeffs)), Fraction(1, 5040))
+        assert not is_cycle(off)
+        assert_matches_the_rational_loop(off)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.describe())
+def test_bounds_matches_the_rational_loop(spec):
+    rng = random.Random(11)
+    for w in _oracle_chains(spec, rng):
+        z = rational_boundary(w)
+        assert bounds(w, z)
+        assert not bounds(w, z.scale(Fraction(1, 2))) or z.is_zero()
+        cell = next(iter(w.coeffs))
+        nudged = w + ChainVector.of_cell(spec, cell, Fraction(1, 5040))
+        assert bounds(nudged, z) == (rational_boundary(nudged) == z)
+        if w.degree >= 2:
+            assert not bounds(w, ChainVector(spec, w.degree, z.coeffs))  # wrong degree
 
 
 # ---------------------------------------------------------------------------

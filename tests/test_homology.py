@@ -168,24 +168,28 @@ def test_certificate_query_builds_one_tracked_echelon():
 def test_corrupted_witness_raises_under_python_O():
     printed = run_optimized("""
         import sys
+        from fractions import Fraction
         from stripconf.cells import cell_complex
         from stripconf.chains import ChainVector, boundary
         from stripconf.homology import CertificateError, is_boundary
         from stripconf.linalg import Echelon
 
         honest = Echelon.coordinates
-        def doubled(self, vec):
-            out = honest(self, vec)
-            return None if out is None else {t: 2 * v for t, v in out.items()}
-        Echelon.coordinates = doubled
         spec = cell_complex((1, 2, 3), 2)
         z = boundary(ChainVector(spec, 1, {((1, 2), (3,)): 1}))
-        try:
-            is_boundary(z, want_witness=True)
-        except CertificateError:
-            print("CertificateError", sys.flags.optimize)
+        # doubled, then halved: the halved witness has non-integral
+        # coefficients, so the integer comparison scales it first
+        for factor in (2, Fraction(1, 2)):
+            def scaled(self, vec):
+                out = honest(self, vec)
+                return None if out is None else {t: factor * v for t, v in out.items()}
+            Echelon.coordinates = scaled
+            try:
+                is_boundary(z, want_witness=True)
+            except CertificateError:
+                print("CertificateError", sys.flags.optimize)
     """)
-    assert printed == ["CertificateError", "1"]
+    assert printed == ["CertificateError", "1"] * 2
 
 
 # ---------------------------------------------------------------------------
