@@ -36,12 +36,13 @@ Witnesses, certificates and `express` always work on cells.  A tracked
 echelon spans what a plain one spans, so it serves both kinds of query
 and replaces a plain one when a witness is first asked for.
 
-Every witness is checked before it is returned: its boundary must be the
-cycle, compared in ints after both are scaled by their common denominator
-(`chains.bounds`), and a failed check raises CertificateError, which
-`python -O` does not strip.  A certificate is built by
-`Echelon.annihilator` to vanish on every row of the image echelon and not
-on the cycle, and is not re-checked.
+Every witness and certificate is checked before it is returned, and a
+failed check raises CertificateError, which `python -O` does not strip.  A
+witness's boundary must be the cycle, compared in ints after both are
+scaled by their common denominator (`chains.bounds`).  A certificate, from
+`Echelon.annihilator`, must be nonzero on the cycle and vanish on every
+row of the image echelon that meets its support, each dot product summed
+again from the rows (`Echelon.certifies`).
 """
 
 from __future__ import annotations
@@ -422,6 +423,9 @@ def is_boundary(chain: ChainVector, want_witness: bool = False,
         y = ech.annihilator(vec)
         if y is None:
             return BoundaryAnswer(True)
+        if not ech.certifies(y, vec):
+            raise CertificateError("the certificate does not separate the cycle "
+                                   "from the boundaries")
         cells = enumerate_cells(spec, k)
         return BoundaryAnswer(False, certificate={cells[c]: v for c, v in y.items()})
     upcells = enumerate_cells(spec, k + 1)

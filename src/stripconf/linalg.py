@@ -11,9 +11,17 @@ leading column, then fewest entries, then input index) and every row is
 primitive with a positive pivot, so all answers are reproducible.
 
 Tracking records each row as an integer combination of the input rows over
-one positive denominator per row; that gives witnesses ("in the span") and
-certifying functionals ("not in the span").  It does not change the
-eliminations, so tracked and untracked echelons have identical rows.
+one positive denominator per row; that gives witnesses ("in the span").  It
+does not change the eliminations, so tracked and untracked echelons have
+identical rows.
+
+Certifying functionals ("not in the span") come from a sparse triangular
+solve over a column index (column -> the rows with an entry there): it
+touches only the rows reachable from the functional's support, in the
+manner of Gilbert-Peierls, *Sparse partial pivoting in time proportional
+to arithmetic operations* (1988).  The index is built on the first
+certificate and kept up to date by every later absorption, so echelons
+that never certify pay nothing for it.
 """
 
 from __future__ import annotations
@@ -61,7 +69,9 @@ class Echelon:
 
     rows[i] is primitive with least column pivots_of[i], where its entry is
     positive; pivot_row maps that column back to i.  When tracking,
-    rows[i] = sum combos[i][tag] * input_tag / dens[i].
+    rows[i] = sum combos[i][tag] * input_tag / dens[i].  Once a certificate
+    has been asked for, rows_at[c] lists, in increasing order, the i with
+    an entry of rows[i] at column c; until then it is None.
     """
 
     def __init__(self, track: bool = False):
@@ -71,6 +81,7 @@ class Echelon:
         self.track = track
         self.combos: List[SparseVec] = []
         self.dens: List[int] = []
+        self.rows_at: Optional[Dict[int, List[int]]] = None
 
     @property
     def rank(self) -> int:
@@ -149,11 +160,14 @@ class Echelon:
         work, combo, _, den = self._reduce(work, combo)
         if not work:
             return False
-        col = min(work)
+        col, i = min(work), len(self.rows)
         g = _content(work) if work[col] > 0 else -_content(work)
-        self.pivot_row[col] = len(self.rows)
+        self.pivot_row[col] = i
         self.rows.append({c: v // g for c, v in work.items()})
         self.pivots_of.append(col)
+        if self.rows_at is not None:
+            for c in work:
+                self.rows_at.setdefault(c, []).append(i)
         if combo is not None:
             den *= g
             h = gcd(_content(combo), den) * (-1 if den < 0 else 1)
@@ -178,31 +192,69 @@ class Echelon:
         # 0 = s*k*vec - sum q_i rows[i]  and  combo/den = -sum q_i combos[i]/dens[i]
         return _divided(combo, -s * k * den)
 
+    def _column_index(self) -> Dict[int, List[int]]:
+        """`rows_at`, built from the rows on first use."""
+        if self.rows_at is None:
+            self.rows_at = {}
+            for i, row in enumerate(self.rows):
+                for c in row:
+                    self.rows_at.setdefault(c, []).append(i)
+        return self.rows_at
+
     def annihilator(self, vec: dict) -> Optional[dict]:
         """A functional y with y(row) = 0 for every echelon row, y(vec) != 0.
 
-        None when vec lies in the span.  y is 1 on one non-pivot column of
-        the residue and supported elsewhere only on pivot columns.
+        None when vec lies in the span.  y is 1 on the least column of the
+        residue, which is not a pivot, and supported elsewhere only on
+        pivot columns.  That column is where a reduction that stops at the
+        first non-pivot column stops.
         """
-        work = self._reduce(_integral(vec)[0], full=True)[0]
+        work = self._reduce(_integral(vec)[0])[0]
         if not work:
             return None
+        rows, rows_at, pivot_row = self.rows, self._column_index(), self.pivot_row
         # y = numerators / den; fix the dot product with each echelon row,
         # largest pivot first: rows with larger pivots vanish on all
-        # earlier columns, so each adjustment is final
-        y, den = {min(work): 1}, 1
-        for p in sorted(self.pivot_row, reverse=True):
-            row = self.rows[self.pivot_row[p]]
-            d = sum(v * y[c] for c, v in row.items() if c in y)
-            if d:
-                a = row[p]
-                if d % a:
-                    m = a // gcd(d, a)
-                    y = {c: v * m for c, v in y.items()}
-                    den *= m
-                    d *= m
-                y[p] = -d // a
+        # earlier columns, so each adjustment is final.  Only rows that
+        # meet supp(y) can have a nonzero dot product; `dots` holds theirs,
+        # and `heap` their pivots, negated
+        first = min(work)
+        y, den = {first: 1}, 1
+        dots = {i: rows[i][first] for i in rows_at.get(first, ())}
+        heap = [-self.pivots_of[i] for i in dots]
+        heapq.heapify(heap)
+        while heap:
+            p = -heapq.heappop(heap)
+            i = pivot_row[p]
+            d = dots.pop(i)
+            if not d:
+                continue
+            a = rows[i][p]
+            if d % a:
+                m = a // gcd(d, a)
+                y = {c: v * m for c, v in y.items()}
+                dots = {j: v * m for j, v in dots.items()}
+                den *= m
+                d *= m
+            t = y[p] = -d // a
+            for j in rows_at[p]:
+                if j in dots:
+                    dots[j] += rows[j][p] * t
+                elif j != i:
+                    dots[j] = rows[j][p] * t
+                    heapq.heappush(heap, -self.pivots_of[j])
         return _divided(y, den)
+
+    def certifies(self, y: dict, vec: dict) -> bool:
+        """Whether y(vec) != 0 and y(row) = 0 for every echelon row that the
+        column index says meets supp(y), summed from the rows themselves."""
+        if not sum(v * y[c] for c, v in vec.items() if c in y):
+            return False
+        yk = _integral(y)[0]
+        rows, rows_at = self.rows, self._column_index()
+        meeting = {i for c in yk for i in rows_at.get(c, ())}
+        return not any(sum(v * yk[c] for c, v in rows[i].items() if c in yk)
+                       for i in meeting)
 
 
 def echelon_of_rows(rows: Sequence[dict], track: bool = False) -> Echelon:

@@ -5,6 +5,8 @@ suite; the helpers here only cover the recurring chores of building
 wheels on consecutive label blocks, listing the orbit S(sigma) of a
 permutation, sampling random chains, summing a boundary in the
 coefficients' own number types and running a script under `python -O`.
+Two are independent oracles for `linalg`: the full-scan certificate that
+`Echelon.annihilator` replaced, and a rank modulo a prime.
 """
 
 import itertools
@@ -13,6 +15,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ import pytest
 from stripconf.cells import cell_complex, enumerate_cells, wheel_decomposition
 from stripconf.chains import ChainVector, boundary_cell
 from stripconf.cycles import Wheel
+from stripconf.linalg import _divided, _integral
 
 
 def wheels_on_blocks(sizes, start=1):
@@ -61,6 +65,62 @@ def rational_boundary(chain):
         for facet, s in boundary_cell(chain.spec, cell):
             out[facet] = out.get(facet, 0) + v * s
     return ChainVector(chain.spec, chain.degree - 1, out)
+
+
+def full_scan_annihilator(ech, vec):
+    """`Echelon.annihilator` as it was before its column index: the dot
+    product with every echelon row, each pivot visited largest first.  The
+    reference for its answer's keys, values, value types and key order."""
+    work = ech._reduce(_integral(vec)[0], full=True)[0]
+    if not work:
+        return None
+    y, den = {min(work): 1}, 1
+    for p in sorted(ech.pivot_row, reverse=True):
+        row = ech.rows[ech.pivot_row[p]]
+        d = sum(v * y[c] for c, v in row.items() if c in y)
+        if d:
+            a = row[p]
+            if d % a:
+                m = a // gcd(d, a)
+                y = {c: v * m for c, v in y.items()}
+                den *= m
+                d *= m
+            y[p] = -d // a
+    return _divided(y, den)
+
+
+def assert_identical(got, want):
+    """Equal dicts with the same key order and the same int/Fraction types
+    (1 == Fraction(1), so equality alone does not see the types)."""
+    assert got == want
+    if got is not None:
+        assert [(c, type(v)) for c, v in got.items()] == \
+            [(c, type(v)) for c, v in want.items()]
+
+
+def rank_mod_p(rows, p=2**31 - 1):
+    """Rank over GF(p) of integer rows, by plain Gauss elimination with
+    monic pivots: an implementation that shares nothing with `linalg`.
+    It is at most the rank over Q, and equal unless p divides every
+    maximal nonzero minor."""
+    pivots = {}  # lead column -> reduced row with entry 1 there
+    for row in rows:
+        v = {c: x % p for c, x in row.items() if x % p}
+        while v:
+            lead = min(v)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(v[lead], -1, p)
+                pivots[lead] = {c: x * inv % p for c, x in v.items()}
+                break
+            f = v[lead]
+            for c, x in piv.items():
+                t = (v.get(c, 0) - f * x) % p
+                if t:
+                    v[c] = t
+                else:
+                    v.pop(c, None)
+    return len(pivots)
 
 
 def run_optimized(script: str) -> list:

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import time
 from fractions import Fraction
 
@@ -21,9 +22,10 @@ from stripconf.homology import (
     image_echelon,
     is_boundary,
 )
-from stripconf.linalg import Echelon, echelon_of_rows
+from stripconf.linalg import Echelon, echelon_of_rows, rank_of_rows
 
-from conftest import random_chain, run_optimized
+from conftest import (assert_identical, full_scan_annihilator, random_chain, rank_mod_p,
+                      run_optimized)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +192,55 @@ def test_corrupted_witness_raises_under_python_O():
                 print("CertificateError", sys.flags.optimize)
     """)
     assert printed == ["CertificateError", "1"] * 2
+
+
+def test_planted_certificates_raise_under_python_O():
+    printed = run_optimized("""
+        import sys
+        from stripconf.basis import AMW, basis_cycle, enumerate_basis
+        from stripconf.homology import CertificateError, is_boundary
+        from stripconf.linalg import Echelon
+
+        honest = Echelon.annihilator
+
+        def shifted(self, vec):
+            # one pivot entry off by one: that pivot's row no longer vanishes
+            y = honest(self, vec)
+            p = next(c for c in y if c in self.pivot_row)
+            y[p] += 1
+            return y
+
+        def blind(self, vec):
+            # the zero functional vanishes on every row and on the cycle
+            return dict.fromkeys(honest(self, vec), 0)
+
+        z = basis_cycle(enumerate_basis(3, 3, 1, AMW)[0], 3)
+        assert len(is_boundary(z).certificate) == 2
+        for planted in (shifted, blind):
+            Echelon.annihilator = planted
+            try:
+                is_boundary(z)
+            except CertificateError:
+                print("CertificateError", sys.flags.optimize)
+    """)
+    assert printed == ["CertificateError", "1"] * 2
+
+
+@pytest.mark.parametrize("n, width, k", [(5, 2, 0), (5, 2, 1), (5, 3, 0), (5, 3, 2), (6, 2, 2)])
+def test_certificates_match_the_full_scan(n, width, k):
+    from stripconf.basis import AMW, basis_cycle, enumerate_basis
+    rng = random.Random(1000 * n + 10 * width + k)
+    spec = cell_complex(n, width)
+    ech, index = image_echelon(spec, k), cell_index(spec, k)
+    words = enumerate_basis(n, width, k, AMW)
+    for _ in range(12):
+        z = (boundary(random_chain(spec, k + 1, rng, terms=8))
+             + basis_cycle(rng.choice(words), width).scale(rng.choice((-1, 2))))
+        vec = z.to_column(index)
+        y = ech.annihilator(vec)
+        assert y is not None
+        assert_identical(y, full_scan_annihilator(ech, vec))
+        assert ech.certifies(y, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +593,25 @@ def _kernel_vectors(spec, k):
         if not ech.absorb(col, tag=j):
             out.append({j: 1, **{i: -c for i, c in ech.coordinates(col).items()}})
     return out
+
+
+@pytest.mark.parametrize("spec", [cell_complex(4, 3), permutohedron(5, 3),
+                                  _weighted("1 2:2 3 4 5", 3)],
+                         ids=lambda spec: spec.describe())
+def test_boundary_ranks_mod_p_match(spec):
+    for k in range(1, spec.top_degree() + 1):
+        columns = boundary_matrix(spec, k).columns()
+        assert rank_mod_p(columns) == rank_of_rows(columns)
+
+
+def test_block_ranks_mod_p_match():
+    from stripconf.equivariant import block_ranks
+    spec = cell_complex(5, 2)
+    degrees = range(1, spec.top_degree() + 1)
+    blocks = block_ranks(spec, degrees)
+    for k in degrees:
+        assert rank_mod_p(boundary_matrix(spec, k).columns()) == \
+            sum(f * ranks[k] for _, f, ranks in blocks)
 
 
 @pytest.mark.parametrize("spec", [permutohedron(5, 3), _weighted("1 2:2 3 4 5", 3)],

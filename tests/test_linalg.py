@@ -10,6 +10,8 @@ from stripconf.linalg import (
     rank_of_rows,
 )
 
+from conftest import assert_identical, full_scan_annihilator, rank_mod_p
+
 entries = st.integers(min_value=-4, max_value=4)
 rows_st = st.lists(
     st.dictionaries(st.integers(min_value=0, max_value=5), entries, max_size=4)
@@ -195,3 +197,76 @@ def test_tracked_and_plain_echelons_agree(rows):
     for row, combo, den in zip(ech.rows, ech.combos, ech.dens):
         assert den > 0
         assert combine_tagged(rows, {t: Fraction(v, den) for t, v in combo.items()}) == row
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_st, st.dictionaries(st.integers(min_value=0, max_value=6), entries, max_size=4))
+def test_annihilator_matches_the_full_scan(rows, vec):
+    ech = echelon_of_rows(rows)
+    assert_identical(ech.annihilator(vec), full_scan_annihilator(ech, vec))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_rows_st, rational_vec_st)
+def test_annihilator_matches_the_full_scan_on_rationals(rows, vec):
+    ech = echelon_of_rows(rows, track=True)
+    assert_identical(ech.annihilator(vec), full_scan_annihilator(ech, vec))
+
+
+def transpose(rows):
+    out = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            out.setdefault(c, []).append(i)
+    return out
+
+
+def check_index_in_sync(before, after, vecs):
+    """Answer, absorb `after`, answer again: the answers match the full scan
+    and the column index is the transpose of the rows at both points."""
+    ech = Echelon()
+    for row in before:
+        ech.absorb(row)
+    assert ech.rows_at is None
+    for vec in vecs:
+        assert_identical(ech.annihilator(vec), full_scan_annihilator(ech, vec))
+    assert ech.rows_at == transpose(ech.rows)
+    for row in after:
+        ech.absorb(row)
+    assert ech.rows_at == transpose(ech.rows)
+    for vec in vecs:
+        assert_identical(ech.annihilator(vec), full_scan_annihilator(ech, vec))
+
+
+def test_column_index_follows_later_absorptions():
+    # the later rows take pivots 0 and 1, below the earlier pivots 3 and 4,
+    # and their entries at 3, 4 and 5 change every certificate
+    before = [{3: 2, 5: 3}, {4: 2, 5: 1, 6: 5}]
+    after = [{0: 1, 3: 1, 6: 2}, {1: 2, 4: 3, 5: -1}, {3: 4, 4: 1}]
+    vecs = [{5: 1}, {6: 1}, {2: 1, 6: 3}, {0: 1, 1: 1, 5: 2}]
+    check_index_in_sync(before, after, vecs)
+    ech = Echelon()
+    for row in before + after:
+        ech.absorb(row)
+    assert min(ech.pivots_of[len(before):]) < min(ech.pivots_of[:len(before)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows_st, rows_st, st.lists(st.dictionaries(st.integers(min_value=0, max_value=6),
+                                                  entries, min_size=1, max_size=4),
+                                  min_size=1, max_size=3))
+def test_column_index_stays_in_sync(before, after, vecs):
+    # no row meets column 7, so the last query always builds the index
+    check_index_in_sync(before, after, vecs + [{7: 1, 0: 1}])
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows_st)
+def test_rank_mod_p_bounds_the_rational_rank(rows):
+    assert rank_mod_p(rows) <= rank_of_rows(rows)
+
+
+def test_rank_mod_p_drops_where_p_divides_the_minors():
+    rows = [{0: 1, 1: 1}, {0: 1, 1: -1}]  # the one 2x2 minor is -2
+    assert rank_of_rows(rows) == rank_mod_p(rows) == 2
+    assert rank_mod_p(rows, 2) == 1
