@@ -23,7 +23,7 @@ import pytest
 from stripconf.cells import cell_complex, enumerate_cells, wheel_decomposition
 from stripconf.chains import ChainVector, boundary_cell
 from stripconf.cycles import Wheel
-from stripconf.linalg import _divided, _integral
+from stripconf.linalg import _divided
 
 
 def wheels_on_blocks(sizes, start=1):
@@ -69,9 +69,10 @@ def rational_boundary(chain):
 
 def full_scan_annihilator(ech, vec):
     """`Echelon.annihilator` as it was before its column index: the dot
-    product with every echelon row, each pivot visited largest first.  The
-    reference for its answer's keys, values, value types and key order."""
-    work = ech._reduce(_integral(vec)[0], full=True)[0]
+    product with every echelon row, each pivot visited last first in the
+    echelon's column order.  The reference for its answer's keys, values,
+    value types and key order, read back by column."""
+    work = ech._reduce(ech._positions(vec)[0], full=True)[0]
     if not work:
         return None
     y, den = {min(work): 1}, 1
@@ -86,7 +87,7 @@ def full_scan_annihilator(ech, vec):
                 den *= m
                 d *= m
             y[p] = -d // a
-    return _divided(y, den)
+    return ech.to_columns(_divided(y, den))
 
 
 def assert_identical(got, want):

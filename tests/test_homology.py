@@ -167,6 +167,25 @@ def test_certificate_query_builds_one_tracked_echelon():
     assert not any(dots.values())
 
 
+def test_a_witness_query_reduces_the_cycle_once(monkeypatch):
+    from stripconf.basis import AMW, basis_cycle, enumerate_basis
+    z = basis_cycle(enumerate_basis(5, 2, 1, AMW)[0], 2)
+    bounding = boundary(random_chain(z.spec, 2, random.Random(5), terms=6))
+    is_boundary(z, want_witness=True)  # builds the tracked echelon
+    calls = []
+    real = Echelon._reduce
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Echelon, "_reduce", counted)
+    # the certificate comes from the reduction that found no coordinates
+    assert is_boundary(z, want_witness=True).certificate
+    assert is_boundary(bounding, want_witness=True).witness is not None
+    assert len(calls) == 2
+
+
 def test_corrupted_witness_raises_under_python_O():
     printed = run_optimized("""
         import sys
@@ -176,16 +195,16 @@ def test_corrupted_witness_raises_under_python_O():
         from stripconf.homology import CertificateError, is_boundary
         from stripconf.linalg import Echelon
 
-        honest = Echelon.coordinates
+        honest = Echelon.solve
         spec = cell_complex((1, 2, 3), 2)
         z = boundary(ChainVector(spec, 1, {((1, 2), (3,)): 1}))
         # doubled, then halved: the halved witness has non-integral
         # coefficients, so the integer comparison scales it first
         for factor in (2, Fraction(1, 2)):
             def scaled(self, vec):
-                out = honest(self, vec)
-                return None if out is None else {t: factor * v for t, v in out.items()}
-            Echelon.coordinates = scaled
+                out, y = honest(self, vec)
+                return None if out is None else {t: factor * v for t, v in out.items()}, y
+            Echelon.solve = scaled
             try:
                 is_boundary(z, want_witness=True)
             except CertificateError:
@@ -583,6 +602,61 @@ def test_clearing_check_raises_under_python_O():
             print("CertificateError", sys.flags.optimize)
     """)
     assert printed == ["CertificateError", "1"]
+
+
+def test_clearing_checks_an_ordered_echelon(monkeypatch):
+    spec = permutohedron(4, 2)
+    monkeypatch.setattr(homology, "_image_cache", {})
+    # columns 3 and 5 are touched once and come before column 2, so the
+    # row e_2 + e_5 leads at cell 5 though 2 < 5; neither row is a cycle
+    planted = echelon_of_rows([{2: 1, 5: 1}, {2: 1, 3: 1}])
+    assert planted.order == [3, 5, 2]
+    assert [planted.column(p) for p in planted.pivots_of] == [5, 3]
+    homology._image_cache[(spec, 1)] = planted
+    with pytest.raises(CertificateError, match="pivot cell 5 is not a cycle"):
+        image_echelon(spec, 0)
+    with pytest.raises(CertificateError, match="pivot cell 5 is not a cycle"):
+        boundary_rank(spec, 1)
+
+
+def test_ordered_clearing_check_raises_under_python_O():
+    printed = run_optimized("""
+        import sys
+        import stripconf.homology as homology
+        from stripconf.cells import permutohedron
+        from stripconf.linalg import echelon_of_rows
+
+        spec = permutohedron(4, 2)
+        homology._image_cache[(spec, 1)] = echelon_of_rows([{2: 1, 5: 1}, {2: 1, 3: 1}])
+        try:
+            homology.boundary_rank(spec, 1)
+        except homology.CertificateError as err:
+            print("CertificateError", sys.flags.optimize, str(err).split()[6])
+    """)
+    assert printed == ["CertificateError", "1", "5"]
+
+
+@pytest.mark.parametrize("spec", [permutohedron(5, 3), permutohedron(6, 3),
+                                  _weighted("1 2:2 3 4 5", 3)],
+                         ids=lambda spec: spec.describe())
+def test_cleared_sweep_ranks_match_rank_mod_p(monkeypatch, spec):
+    monkeypatch.setattr(homology, "_image_cache", {})
+    top = spec.top_degree()
+    ranks = homology_profile(spec).ranks
+    assert ranks == (0, *(rank_mod_p(boundary_matrix(spec, k).columns())
+                          for k in range(1, top + 1)), 0)
+    # every degree below the top was eliminated in count order and cleared
+    assert all(homology._image_cache[(spec, k)].order for k in range(top))
+
+
+def test_count_order_pins_the_cleared_echelon_size(monkeypatch):
+    spec = permutohedron(6, 3)
+    monkeypatch.setattr(homology, "_image_cache", {})
+    assert boundary_rank(spec, 1) == 719
+    ech = homology._image_cache[(spec, 1)]  # the image of d_2, cleared by d_3's
+    assert ech.rank == 1081
+    # 32,169 entries when the columns are eliminated in index order
+    assert sum(len(row) for row in ech.rows) == 9246
 
 
 def _kernel_vectors(spec, k):

@@ -82,6 +82,11 @@ def test_rank_frozen():
 def test_echelon_shape_invariants():
     ech = echelon_of_rows([{0: 2, 1: 4}, {0: 3, 1: 5}, {1: 7, 2: 1}])
     assert ech.rank == 3
+    # columns by the count of rows touching them: 2 once, 0 twice, 1 thrice;
+    # rows absorbed by least column, the last one leading at position 0
+    assert ech.order == [2, 0, 1]
+    assert ech.pivots_of == [1, 2, 0]
+    assert [ech.column(p) for p in ech.pivots_of] == [0, 1, 2]
     for i, row in enumerate(ech.rows):
         piv = ech.pivots_of[i]
         assert min(row) == piv
@@ -146,8 +151,39 @@ def test_residue_and_annihilator_certify_membership(rows, vec):
         assert coords is None
         assert y is not None
         for row in ech.rows:
+            assert sum(y.get(c, 0) * v for c, v in ech.to_columns(row).items()) == 0
+        assert sum(y.get(c, 0) * v for c, v in vec.items()) != 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_rows_st, rational_vec_st,
+       st.dictionaries(st.integers(min_value=7, max_value=9), rationals, max_size=2))
+def test_ordered_echelon_agrees_with_a_plain_one(rows, vec, outside):
+    # columns 7-9 are touched by no row
+    vec = {**vec, **{c: v for c, v in outside.items() if v}}
+    ordered = echelon_of_rows(rows, track=True)
+    plain = Echelon(track=True)
+    for i, row in enumerate(rows):
+        plain.absorb(row, tag=i)
+    assert ordered.rank == plain.rank
+    res = ordered.residue(vec)
+    assert (not res) == (not plain.residue(vec))
+    touched = set().union(*rows)
+    assert {ordered.column(p) for p in ordered.pivots_of} <= touched
+    for c in set(vec) - touched:
+        assert res[c] == vec[c]
+    coords, y = ordered.solve(vec)
+    assert_identical(coords, ordered.coordinates(vec))
+    assert_identical(y, ordered.annihilator(vec))
+    if not res:
+        assert y is None
+        assert combine_tagged(rows, coords) == vec
+    else:
+        assert coords is None
+        for row in rows:
             assert sum(y.get(c, 0) * v for c, v in row.items()) == 0
         assert sum(y.get(c, 0) * v for c, v in vec.items()) != 0
+        assert ordered.certifies(y, vec)
 
 
 @settings(max_examples=80, deadline=None)
@@ -171,7 +207,7 @@ def test_echelon_matches_reference(rows, vec):
     assert plain.rank == ech.rank == len(basis)
     res = ech.residue(vec)
     assert (not res) == inside
-    assert not set(res) & set(ech.pivot_row)
+    assert not set(res) & set(map(ech.column, ech.pivot_row))
     # vec - residue lies in the span
     assert not reference_reduce(basis, {c: Fraction(vec.get(c, 0)) - res.get(c, 0)
                                         for c in set(vec) | set(res)})
@@ -196,7 +232,8 @@ def test_tracked_and_plain_echelons_agree(rows):
     assert ech.pivots_of == plain.pivots_of
     for row, combo, den in zip(ech.rows, ech.combos, ech.dens):
         assert den > 0
-        assert combine_tagged(rows, {t: Fraction(v, den) for t, v in combo.items()}) == row
+        assert combine_tagged(rows, {t: Fraction(v, den) for t, v in combo.items()}) == \
+            ech.to_columns(row)
 
 
 @settings(max_examples=200, deadline=None)
