@@ -16,6 +16,8 @@ M_{f_lambda}(Q) with rational entries.  Let R_lambda(d_k) be the
 sign * rho_lambda(h) over the facets of rep_c on c'.  Then
 rank d_k = sum f_lambda * rank R_lambda(d_k), and the multiplicity of
 V_lambda in H_k is m_k f - rank R_lambda(d_k) - rank R_lambda(d_{k+1}).
+As rho_lambda is a homomorphism, R_lambda(d_{k+1}) R_lambda(d_k) = 0, so
+the blocks clear as the cells do (`Echelon.clearable`).
 
 Conventions: the content of an entry is column - row of its box.  s_i
 swaps i and i + 1 and fixes e_T when they share a row, negates it when
@@ -29,11 +31,12 @@ so rho(p) = rho(s_jr) ... rho(s_j1).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, List, Optional
 
 from .cells import ComplexSpec, compositions
 from .chains import boundary_cell
-from .linalg import rank_of_rows
+from .linalg import echelon_of_rows
 
 
 def partitions(n: int, cap: Optional[int] = None) -> Iterator[tuple]:
@@ -143,9 +146,11 @@ def block_ranks(spec: ComplexSpec, degrees: Iterable[int]) -> list:
 
     `spec` must be a unit-weight ordered complex and every degree k must
     have 1 <= k <= top degree.  The facet tables are built once, and each
-    rho(h) once per shape, for all the degrees together.
+    rho(h) once per shape, for all the degrees together.  Each shape ranks
+    the asked degrees top down, each block scaled to ints by the lcm of
+    its denominators, clearing k by k + 1 when both were asked.
     """
-    tables = {k: facet_table(spec, k) for k in degrees}
+    tables = {k: facet_table(spec, k) for k in sorted(degrees, reverse=True)}
     out = []
     for shape in partitions(spec.n):
         irrep = Irrep(shape)
@@ -164,7 +169,14 @@ def block_ranks(spec: ComplexSpec, degrees: Iterable[int]) -> list:
                         base = below * f
                         for b, v in m[a].items():
                             row[base + b] = row.get(base + b, 0) + sign * v
-                    rows.append({c: v for c, v in row.items() if v})
-            ranks[k] = rank_of_rows(rows)
+                    rows.append(row)
+            scale = lcm(*{v.denominator for row in rows for v in row.values()})
+            rows = [{c: v.numerator * (scale // v.denominator) for c, v in row.items() if v}
+                    for row in rows]
+            if k + 1 in ranks:
+                for p in above.clearable(rows):
+                    rows[p] = {}
+            above = echelon_of_rows(rows)
+            ranks[k] = above.rank
         out.append((shape, f, ranks))
     return out

@@ -2,7 +2,9 @@
 
 Betti numbers come from exact ranks of the boundary matrices:
 betti_k = #cells_k - rank d_k - rank d_{k+1}.  Every rank takes the one
-guarded route of `_blocks`, picked by the kind of complex alone:
+guarded route of `_blocks`, picked by the kind of complex alone.  Both
+row sources clear top down: each degree leaves out the rows at the pivots
+of the echelon one degree up (Chen-Kerber's twist, `Echelon.clearable`).
 
 * unit-weight ordered complexes (any label set, any width, None
   included) are ranked per irreducible by the isotypic blocks of
@@ -14,15 +16,10 @@ guarded route of `_blocks`, picked by the kind of complex alone:
   of the irreducibles, in every degree.
 * every other complex (weighted labels, permutohedra) is ranked by
   cell-level echelons, built and cached from the top degree down to the
-  least asked degree.  Top-down order lets every degree below the top be
-  cleared (Chen-Kerber's twist): the pivot cells of the cached echelon
-  one degree up have boundaries in the span of the other cells', so
-  their rows are left out.  That rests on d_k d_{k+1} = 0, which is
-  checked on every row it uses, and on each row leading with its pivot,
-  first in that echelon's column order: `echelon_of_rows` eliminates
-  the cells in increasing count of the boundaries that touch them, which
-  the clearing changes from degree to degree.  On perm(6;3) that order
-  cuts the cleared image echelon of d_2 from 32,169 to 9,246 entries.
+  least asked degree, so every degree below the top is cleared.  Each
+  eliminates the cells in increasing count of the boundaries that touch
+  them, which the clearing changes from degree to degree; on perm(6;3)
+  that cuts the cleared image echelon of d_2 from 32,169 to 9,246 entries.
   The guard counts cells in every degree the sweep builds: exactly
   (kind- and width-aware) for unit weights, and the unrestricted count,
   an upper estimate, for weighted labels.
@@ -64,17 +61,13 @@ from .cells import (ORDERED, ComplexSpec, cell_complex, cell_index,
                     enumerate_cells, permutohedron, wheel_decomposition)
 from .chains import ChainVector, boundary_matrix, bounds, is_cycle
 from .equivariant import block_ranks, orbits
-from .linalg import Echelon, echelon_of_rows
+from .linalg import CertificateError, Echelon, echelon_of_rows
 
 DEFAULT_MAX_CELLS = 5_000_000
 
 
 class ResourceRefusal(RuntimeError):
     """Raised instead of attempting an enumeration past the resource cap."""
-
-
-class CertificateError(ArithmeticError):
-    """A computed answer failed its own exactness check."""
 
 
 @lru_cache(maxsize=None)
@@ -164,36 +157,13 @@ def image_echelon(spec: ComplexSpec, degree: int, track: bool = False) -> Echelo
         columns = boundary_matrix(spec, degree + 1).columns()
         above = _image_cache.get((spec, degree + 1))
         if above is not None:
-            for p in _cleared(above, columns):
+            for p in above.clearable(columns):
                 columns[p] = {}
         ech = echelon_of_rows(columns, track)
     else:
         ech = Echelon(track=track)
     _image_cache[key] = ech
     return ech
-
-
-def _cleared(above: Echelon, columns: list):
-    """The pivot cells of `above`, an echelon of boundaries in C_{k+1},
-    after checking that every row leads with its pivot, first in the
-    echelon's column order, and that d_{k+1}, given by its `columns`,
-    kills it.
-
-    A row z with pivot p has d(z) = 0 and z_p != 0, and is supported on p
-    and cells after p in that order, so the boundary of p is a combination
-    of the boundaries of later cells; by induction over the pivots, last
-    first, every pivot's boundary lies in the span of the non-pivots'.
-    """
-    for z, p in zip(above.rows, above.pivots_of):
-        dz: Dict[int, int] = {}
-        for j, a in above.to_columns(z).items():
-            for r, v in columns[j].items():
-                dz[r] = dz.get(r, 0) + a * v
-        if not z.get(p) or min(z) != p or any(dz.values()):
-            raise CertificateError(f"the echelon row with pivot cell {above.column(p)} "
-                                   "is not a cycle led by its pivot, so that boundary "
-                                   "cannot be cleared")
-    return [above.column(p) for p in above.pivots_of]
 
 
 def _isotypic(spec: ComplexSpec) -> bool:
@@ -203,13 +173,12 @@ def _isotypic(spec: ComplexSpec) -> bool:
 
 def _blocks(spec: ComplexSpec, degrees, max_cells: int) -> list:
     """[(shape, f, {k: rank})] whose f-weighted sum is rank d_k, for the
-    asked k in 1..top: a block per irreducible (`block_ranks`) on
-    unit-weight ordered complexes, else one block of cell-level echelon
-    ranks, built from the top degree down so that every degree below the
-    top is cleared.  Refused first when the degrees the route reads exceed
-    `max_cells` (in block rows or cells): k-1 and k of the asked k for
-    blocks, every degree from the least asked k-1 up for cells.  The top
-    is searched for after.
+    asked k in 1..top: a block per irreducible (`block_ranks`, each asked
+    degree cleared by the next if asked) on unit-weight ordered complexes,
+    else one block of cell-level echelon ranks, cleared from the top down.
+    Refused first when the degrees the route reads exceed `max_cells` (in
+    block rows or cells): k-1 and k of the asked k for blocks, every degree
+    from the least asked k-1 up for cells.  The top is searched for after.
     """
     bound = _top_bound(spec)
     asked = [k for k in degrees if 0 <= k <= bound]

@@ -9,7 +9,8 @@ updates, and the working row is rescaled only when a pivot does not divide
 its entry.  Answers are scaled back once: ints where integral, Fractions
 elsewhere.  Absorption order is deterministic (least column index, then
 fewest entries, then input index) and every row is primitive with a
-positive pivot, so all answers are reproducible.
+positive pivot, so all answers are reproducible.  `Echelon.clearable` is
+the one clearing step of both rank sweeps, cell-level and isotypic.
 
 `echelon_of_rows` orders the columns by increasing count of input rows
 that touch them, ties by column index, before it eliminates: the static
@@ -52,6 +53,10 @@ from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 SparseVec = Dict[int, int]
+
+
+class CertificateError(ArithmeticError):
+    """A computed answer failed its own exactness check."""
 
 
 def _content(row: dict) -> int:
@@ -301,6 +306,23 @@ class Echelon:
                     heapq.heappush(heap, -self.pivots_of[j])
         return self.to_columns(_divided(y, den))
 
+    def clearable(self, rows: Sequence[dict]) -> List[int]:
+        """The pivot columns, once each row z is checked to lead with its
+        pivot and to be a cycle: sum z_j * rows[j] = 0 in ints, rows[j] the
+        boundary of column j.  Then, last pivot first, each pivot's boundary
+        lies in the span of the non-pivots' (Chen-Kerber's clearing).  A
+        failed check raises CertificateError."""
+        for z, p in zip(self.rows, self.pivots_of):
+            dz: Dict[int, int] = {}
+            for j, a in self.to_columns(z).items():
+                for r, v in rows[j].items():
+                    dz[r] = dz.get(r, 0) + a * v
+            if not z.get(p) or min(z) != p or any(dz.values()):
+                raise CertificateError(f"the echelon row with pivot cell {self.column(p)} "
+                                       "is not a cycle led by its pivot, so that boundary "
+                                       "cannot be cleared")
+        return [self.column(p) for p in self.pivots_of]
+
     def certifies(self, y: dict, vec: dict) -> bool:
         """Whether y(vec) != 0 and y(row) = 0 for every echelon row that the
         column index says meets supp(y), summed from the rows themselves."""
@@ -334,7 +356,3 @@ def echelon_of_rows(rows: Sequence[dict], track: bool = False) -> Echelon:
         if rows[i]:
             ech.absorb(rows[i], tag=i)
     return ech
-
-
-def rank_of_rows(rows: Sequence[dict]) -> int:
-    return echelon_of_rows(rows).rank

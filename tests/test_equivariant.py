@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stripconf.equivariant as equivariant
 import stripconf.homology as homology
 from stripconf.cells import cell_complex, enumerate_cells, permutohedron
 from stripconf.chains import boundary_matrix
@@ -15,6 +16,7 @@ from stripconf.homology import (betti_number, boundary_rank, homology_profile,
                                 image_echelon, isotypic_profile)
 from stripconf.linalg import echelon_of_rows
 
+from conftest import run_optimized
 from test_acceptance import FROZEN_BETTI as ACCEPTANCE_BETTI
 from test_homology import FROZEN_BETTI as HOMOLOGY_BETTI
 
@@ -138,6 +140,58 @@ def test_unit_weight_ordered_ranks_take_the_blocks_despite_cached_echelons(monke
     assert betti_number(spec, 2) == 169
     assert homology_profile(spec).betti == (1, 10, 169, 40)
     assert asked == [[2], [2, 3], [1, 2, 3]]
+
+
+def test_block_clearing_pins_the_rows_absorbed(monkeypatch):
+    spec = cell_complex(6, 3)
+    absorbed = []  # (block rows, nonempty rows) per block echelon
+    real = equivariant.echelon_of_rows
+
+    def spy(rows, track=False):
+        absorbed.append((len(rows), sum(1 for row in rows if row)))
+        return real(rows, track)
+
+    monkeypatch.setattr(equivariant, "echelon_of_rows", spy)
+    assert isotypic_profile(spec).profile.betti == (1, 15, 714, 780, 80)
+    # 11 shapes times 4 degrees; degrees 1-3 leave out the rows that the
+    # echelon one degree up clears
+    assert len(absorbed) == 44
+    assert [sum(col) for col in zip(*absorbed)] == [1748, 983]
+    # one asked degree clears nothing: every nonzero row of R(d_k) is
+    # absorbed, m_k orbits times the 76 involutions of S_6 rows in all
+    single = []
+    for k in range(1, 5):
+        absorbed.clear()
+        boundary_rank(spec, k)
+        single.append([sum(col) for col in zip(*absorbed)])
+    assert single == [[380, 278], [760, 717], [532, 528], [76, 76]]
+
+
+def test_a_corrupted_facet_table_raises_under_python_O():
+    printed = run_optimized("""
+        import sys
+        import stripconf.equivariant as equivariant
+        from stripconf.cells import cell_complex
+        from stripconf.homology import CertificateError, isotypic_profile
+
+        honest = equivariant.facet_table
+
+        def flipped(spec, degree):
+            # one facet sign of the top degree negated: d d != 0
+            table = honest(spec, degree)
+            if degree == spec.top_degree():
+                sign, below, h = table[0][0]
+                table[0][0] = (-sign, below, h)
+            return table
+
+        equivariant.facet_table = flipped
+        for n, w in ((4, 2), (5, 3)):
+            try:
+                isotypic_profile(cell_complex(n, w))
+            except CertificateError:
+                print("CertificateError", sys.flags.optimize)
+    """)
+    assert printed == ["CertificateError", "1"] * 2
 
 
 def test_weighted_and_permutohedra_stay_cell_level():

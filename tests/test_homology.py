@@ -22,7 +22,7 @@ from stripconf.homology import (
     image_echelon,
     is_boundary,
 )
-from stripconf.linalg import Echelon, echelon_of_rows, rank_of_rows
+from stripconf.linalg import Echelon, echelon_of_rows
 
 from conftest import (assert_identical, full_scan_annihilator, random_chain, rank_mod_p,
                       run_optimized)
@@ -349,13 +349,15 @@ def test_empty_complex_is_one_point():
         assert not ans and ans.certificate == {(): 1}
 
 
-def test_repeated_profile_builds_no_echelon(monkeypatch):
+def test_repeated_unit_weight_profile_reads_no_boundary_matrix(monkeypatch):
+    # unit-weight ordered complexes rank isotypic blocks, every time
     spec = cell_complex(4, 2)
     first = homology_profile(spec)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a repeated profile built an echelon")
+        raise AssertionError("a unit-weight profile read cells")
 
+    monkeypatch.setattr(homology, "boundary_matrix", refuse)
     monkeypatch.setattr(homology, "echelon_of_rows", refuse)
     monkeypatch.setattr(homology, "Echelon", refuse)
     assert homology_profile(spec) == first
@@ -675,17 +677,20 @@ def _kernel_vectors(spec, k):
 def test_boundary_ranks_mod_p_match(spec):
     for k in range(1, spec.top_degree() + 1):
         columns = boundary_matrix(spec, k).columns()
-        assert rank_mod_p(columns) == rank_of_rows(columns)
+        assert rank_mod_p(columns) == echelon_of_rows(columns).rank
 
 
 def test_block_ranks_mod_p_match():
     from stripconf.equivariant import block_ranks
-    spec = cell_complex(5, 2)
-    degrees = range(1, spec.top_degree() + 1)
-    blocks = block_ranks(spec, degrees)
-    for k in degrees:
-        assert rank_mod_p(boundary_matrix(spec, k).columns()) == \
-            sum(f * ranks[k] for _, f, ranks in blocks)
+    for spec in (cell_complex(5, 2), cell_complex(5, 3), cell_complex(6, 3)):
+        degrees = range(1, spec.top_degree() + 1)
+        blocks = block_ranks(spec, degrees)  # every degree below the top cleared
+        for k in degrees:
+            assert rank_mod_p(boundary_matrix(spec, k).columns()) == \
+                sum(f * ranks[k] for _, f, ranks in blocks)
+            # one asked degree clears nothing
+            assert [ranks[k] for _, _, ranks in block_ranks(spec, [k])] == \
+                [ranks[k] for _, _, ranks in blocks]
 
 
 @pytest.mark.parametrize("spec", [permutohedron(5, 3), _weighted("1 2:2 3 4 5", 3)],

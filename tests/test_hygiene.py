@@ -18,6 +18,10 @@ So are the modules that import from `linalg`, `homology` and
 them, and `algebra` reaches none (its R1 coefficients are read off
 chains, not solved for).
 
+Only `linalg` reads the internals of an `Echelon` (its pivot lists, its
+column index and its tracked combinations); every other module asks it
+through its methods.
+
 No module in `src/stripconf` uses an `assert` statement: `python -O`
 strips them, so a check has to raise ValueError (bad input) or
 CertificateError (a failed claim) instead.
@@ -205,6 +209,32 @@ def imports_from(source: str, module: str) -> bool:
 def test_linalg_importers_are_pinned():
     found = {p.stem for p in MODULES if imports_from(p.read_text(), "linalg")}
     assert found == LINALG_IMPORTERS
+
+
+ECHELON_INTERNALS = {"pivots_of", "pivot_row", "rows_at", "combos", "dens"}
+
+
+def attribute_reads(source: str, names) -> list:
+    """(line, name) of each read of an attribute in `names`."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and node.attr in names)
+
+
+def test_only_linalg_reads_echelon_internals():
+    found = {p.name: attribute_reads(p.read_text(), ECHELON_INTERNALS)
+             for p in MODULES if p.stem != "linalg"}
+    assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+def test_attribute_reader_finds_reads_only():
+    source = (
+        "self.pivots_of = []\n"
+        "x = ech.pivots_of[0]\n"
+        "y = ech.rows\n"
+        "for i in e.combos: pass\n"
+    )
+    assert attribute_reads(source, ECHELON_INTERNALS) == [(2, "pivots_of"), (4, "combos")]
 
 
 def test_import_finder_reads_relative_imports_only():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from stripconf.linalg import (
     Echelon,
     echelon_of_rows,
-    rank_of_rows,
 )
 
 from conftest import assert_identical, full_scan_annihilator, rank_mod_p
@@ -72,11 +71,11 @@ def reference_basis(rows):
 
 
 def test_rank_frozen():
-    assert rank_of_rows([]) == 0
-    assert rank_of_rows([{0: 1}, {1: 1}, {2: 1}]) == 3
-    assert rank_of_rows([{0: 1, 1: 2}, {1: 1}, {0: 1, 1: 3}]) == 2
-    assert rank_of_rows([{0: 2, 1: 4}, {0: 3, 1: 6}]) == 1
-    assert rank_of_rows([{}, {}]) == 0
+    assert echelon_of_rows([]).rank == 0
+    assert echelon_of_rows([{0: 1}, {1: 1}, {2: 1}]).rank == 3
+    assert echelon_of_rows([{0: 1, 1: 2}, {1: 1}, {0: 1, 1: 3}]).rank == 2
+    assert echelon_of_rows([{0: 2, 1: 4}, {0: 3, 1: 6}]).rank == 1
+    assert echelon_of_rows([{}, {}]).rank == 0
 
 
 def test_echelon_shape_invariants():
@@ -189,7 +188,7 @@ def test_ordered_echelon_agrees_with_a_plain_one(rows, vec, outside):
 @settings(max_examples=80, deadline=None)
 @given(rows_st)
 def test_rank_invariant_under_shuffle(rows):
-    assert rank_of_rows(rows) == rank_of_rows(list(reversed(rows)))
+    assert echelon_of_rows(rows).rank == echelon_of_rows(list(reversed(rows))).rank
 
 
 def test_coordinates_need_tracking():
@@ -300,10 +299,10 @@ def test_column_index_stays_in_sync(before, after, vecs):
 @settings(max_examples=150, deadline=None)
 @given(rows_st)
 def test_rank_mod_p_bounds_the_rational_rank(rows):
-    assert rank_mod_p(rows) <= rank_of_rows(rows)
+    assert rank_mod_p(rows) <= echelon_of_rows(rows).rank
 
 
 def test_rank_mod_p_drops_where_p_divides_the_minors():
     rows = [{0: 1, 1: 1}, {0: 1, 1: -1}]  # the one 2x2 minor is -2
-    assert rank_of_rows(rows) == rank_mod_p(rows) == 2
+    assert echelon_of_rows(rows).rank == rank_mod_p(rows) == 2
     assert rank_mod_p(rows, 2) == 1
