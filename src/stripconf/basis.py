@@ -183,8 +183,8 @@ def verify_basis(labels, width: int, degree: int, style: str = AMW,
                  max_cells: int = DEFAULT_MAX_CELLS) -> BasisReport:
     """Count the basis words against betti and check independence.
 
-    Independence is checked modulo boundaries: the word cycles, reduced
-    modulo the image of d_{degree+1}, must keep full rank.  The Betti
+    Independence is checked modulo boundaries: the word cycles, absorbed
+    into the image echelon of d_{degree+1}, must each add rank.  The Betti
     number comes from the ranks of that image and the one below.  Refused
     before the basis words are enumerated when degrees degree-1 and
     degree, or degree and degree+1, exceed `max_cells` cells.
@@ -193,12 +193,12 @@ def verify_basis(labels, width: int, degree: int, style: str = AMW,
     _guard(spec, (degree - 1, degree), max_cells)
     _guard(spec, (degree, degree + 1), max_cells)
     words = enumerate_basis(spec.labels, width, degree, style)
-    _, below, _ = _modulo_boundaries(spec, degree - 1, (), max_cells, rank_only=True)
-    index, image, residues = _modulo_boundaries(
-        spec, degree, (basis_cycle(w, width) for w in words), max_cells, rank_only=True)
+    _, below, _ = _modulo_boundaries(spec, degree - 1, None, max_cells)
+    index, image, extended = _modulo_boundaries(
+        spec, degree, (basis_cycle(w, width) for w in words), max_cells)
     betti = _betti_rule(len(index), below.rank, image.rank)
     return BasisReport(spec.labels, width, degree, style, len(words), betti,
-                       residues.rank == len(words))
+                       extended.rank - image.rank == len(words))
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,10 @@ The guards of homology_profile, betti_number, boundary_rank, is_boundary,
 express and verify_basis run before the exact top degree is searched for,
 against the search-free bound n - ceil(total weight / width).
 
-The echelon of the image of d_{k+1} is cached per (complex, degree), and
-one guarded path, `_modulo_boundaries`, reduces cycles modulo it for
-is_boundary, express and `basis`.  That path builds the one degree it
-needs, cleared only when the degree above is already cached.  So which
+The echelon of the image of d_{k+1} is cached per (complex, degree); one
+guarded path, `_modulo_boundaries`, reads it for is_boundary and extends
+a copy by the cycles of express and `basis`.  It builds the one degree
+it needs, cleared only when the degree above is already cached.  So which
 rows an echelon holds may depend on what was cached before, but its row
 space, and every rank, membership, witness and certificate, does not.
 Witnesses, certificates and `express` always work on cells.  A tracked
@@ -331,34 +331,30 @@ def isotypic_profile(spec: ComplexSpec,
 
 
 def _modulo_boundaries(spec: ComplexSpec, k: int, cycles, max_cells: int,
-                       track: bool = False, rank_only: bool = False) -> tuple:
+                       track: bool = False) -> tuple:
     """Reduce the k-cycles `cycles` of `spec` modulo the image of d_{k+1}.
 
-    Returns (index, image, residues): the k-cell index, the image echelon
-    (tracked when `track`), and an echelon of the nonzero residues, tagged
-    by position, and tracked unless the caller reads `rank_only`.  Refused
-    first when degrees k and k+1 exceed `max_cells` cells; `cycles` may be
-    lazy and is read only after.  The image echelon is cleared only when
-    degree k+1 is already cached: this path builds no other degree.
+    Returns (index, image, extended): the k-cell index, the image echelon
+    (tracked when `track`), and `image.extended` by the cycles, tagged by
+    position, or None when `cycles` is None.  Refused first when degrees k
+    and k+1 exceed `max_cells` cells; `cycles` may be lazy and is read only
+    after.  The image echelon is cleared only when degree k+1 is already
+    cached: this path builds no other degree.
     """
     _guard(spec, (k, k + 1), max_cells)
     index, image = cell_index(spec, k), image_echelon(spec, k, track)
-    residues = Echelon(track=not rank_only)
-    for i, z in enumerate(cycles):
-        r = image.residue(z.to_column(index))
-        if r:
-            residues.absorb(r, tag=i)
-    return index, image, residues
+    extended = None if cycles is None else image.extended(z.to_column(index) for z in cycles)
+    return index, image, extended
 
 
 def _express(chain: ChainVector, basis: Sequence[ChainVector], index: dict,
-             image: Echelon, residues: Echelon) -> ExpressResult:
+             image: Echelon, extended: Echelon) -> ExpressResult:
     """`express` of `chain` in `basis`, which `_modulo_boundaries` reduced."""
     spec, k = chain.spec, chain.degree
-    target = image.residue(chain.to_column(index))
-    coords = residues.coordinates(target)
+    target = chain.to_column(index)
+    coords = extended.coordinates(target)
     if coords is None:
-        cells, left = enumerate_cells(spec, k), residues.residue(target)
+        cells, left = enumerate_cells(spec, k), extended.residue(target)
         return ExpressResult(False, residual=ChainVector(
             spec, k, {cells[c]: v for c, v in left.items()}))
     coeffs = tuple(coords.get(i, 0) for i in range(len(basis)))
@@ -394,7 +390,7 @@ def is_boundary(chain: ChainVector, want_witness: bool = False,
         raise ValueError("is_boundary expects a cycle")
     if chain.is_zero():
         return BoundaryAnswer(True, witness=ChainVector.zero(spec, k + 1))
-    index, ech, _ = _modulo_boundaries(spec, k, (), max_cells, track=want_witness)
+    index, ech, _ = _modulo_boundaries(spec, k, None, max_cells, track=want_witness)
     vec = chain.to_column(index)
     coords, y = ech.solve(vec) if want_witness else (None, ech.annihilator(vec))
     if coords is None:

@@ -30,7 +30,7 @@ pivot of those rows.
 Tracking records each row as an integer combination of the input rows over
 one positive denominator per row; that gives witnesses ("in the span").  It
 does not change the eliminations, so tracked and untracked echelons have
-identical rows.
+identical rows.  `Echelon.extended` tracks only what it adds to an echelon.
 
 Certifying functionals ("not in the span") come from a sparse triangular
 solve over a column index (position -> the rows with an entry there): it
@@ -45,12 +45,13 @@ span, else a certificate.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 SparseVec = Dict[int, int]
 
@@ -86,16 +87,17 @@ class Echelon:
     Column order[p] sits at position p; a column c outside `order` sits at
     position len(order) + c, after all of them (a plain `Echelon()` has
     the empty order, so there position and column agree).  `order` is
-    kept, not copied.  Rows, pivots
-    and the column index are kept by position, so "least" below means
-    first in the order; `to_columns` and `column` read them back by
-    column.  Every method takes and returns vectors keyed by column.
+    kept, not copied.  Rows, pivots and the column index are kept by
+    position, so "least" below means first in the order; `to_columns` and
+    `column` read them back by column.  Every method takes and returns
+    vectors keyed by column.
 
     rows[i] is primitive with least position pivots_of[i], where its entry
     is positive; pivot_row maps that position back to i.  When tracking,
-    rows[i] = sum combos[i][tag] * input_tag / dens[i].  Once a certificate
-    has been asked for, rows_at[p] lists, in increasing order, the i with
-    an entry of rows[i] at position p; until then it is None.
+    rows[i] = sum combos[i][tag] * input_tag / dens[i], in an extension
+    modulo the rows it started from, whose combos are empty.  Once a
+    certificate has been asked for, rows_at[p] lists, in increasing order,
+    the i with an entry of rows[i] at position p; until then it is None.
     """
 
     def __init__(self, track: bool = False, order: Sequence[int] = ()):
@@ -221,6 +223,18 @@ class Echelon:
             self.dens.append(den // h)
         return True
 
+    def extended(self, vecs: Iterable[dict]) -> Echelon:
+        """A tracked copy that has absorbed each vec, tagged by position, and
+        whose combos name only the vecs.  It shares `order`, `position` and
+        the rows, not the lists or the column index; `self` is unchanged."""
+        ext, n = copy.copy(self), self.rank
+        ext.rows, ext.pivots_of = self.rows.copy(), self.pivots_of.copy()
+        ext.pivot_row, ext.rows_at = self.pivot_row.copy(), None
+        ext.track, ext.combos, ext.dens = True, [{}] * n, [1] * n
+        for i, vec in enumerate(vecs):
+            ext.absorb(vec, tag=i)
+        return ext
+
     def residue(self, vec: dict) -> dict:
         """The remainder of `vec` after eliminating all pivot columns."""
         work, k = self._positions(vec)
@@ -318,7 +332,7 @@ class Echelon:
                 for r, v in rows[j].items():
                     dz[r] = dz.get(r, 0) + a * v
             if not z.get(p) or min(z) != p or any(dz.values()):
-                raise CertificateError(f"the echelon row with pivot cell {self.column(p)} "
+                raise CertificateError(f"the echelon row with pivot column {self.column(p)} "
                                        "is not a cycle led by its pivot, so that boundary "
                                        "cannot be cleared")
         return [self.column(p) for p in self.pivots_of]

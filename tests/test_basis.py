@@ -172,54 +172,75 @@ def test_basis_change_four_disks():
     assert change.triangular is True
 
 
+def counting(monkeypatch, owner, name):
+    """Count the calls of owner.name from here on, in a dict under "calls"."""
+    seen = {"calls": 0}
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        seen["calls"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return seen
+
+
 def test_basis_change_reduces_each_cycle_once(monkeypatch):
-    calls = {"residue": 0, "is_cycle": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(Echelon, "residue", counted("residue", Echelon.residue))
-    monkeypatch.setattr(homology, "is_cycle", counted("is_cycle", homology.is_cycle))
+    residues = counting(monkeypatch, Echelon, "residue")
+    cycle_checks = counting(monkeypatch, homology, "is_cycle")
     change = basis_change(4, 3, 2)
     words = len(change.am_words)
     assert words == len(change.amw_words) == 29
-    # one residue per am cycle, and per amw cycle its target and its remainder
-    assert calls["residue"] <= 3 * words
-    assert calls["is_cycle"] == 0
+    # the coordinates need no residue: one remainder check per amw word
+    assert residues["calls"] == words
+    assert cycle_checks["calls"] == 0
 
 
-def test_only_coordinate_readers_track_their_residues(monkeypatch):
-    # verify_basis reads only the rank of the reduced word cycles, so its
-    # residue echelon is untracked; basis_change and express read coordinates
-    real = homology._modulo_boundaries
-    tracked = []
-
-    def spy(*args, **kwargs):
-        out = real(*args, **kwargs)
-        tracked.append(out[2].track)
-        return out
-
-    def all_tracked(*args, rank_only=False, **kwargs):
-        return real(*args, **kwargs)
-
+def test_verify_basis_reports_and_reads_no_residue(monkeypatch):
+    residues = counting(monkeypatch, Echelon, "residue")
     asked = [(5, 3, k) for k in range(4)] + [(4, 2, k) for k in range(3)]
-    monkeypatch.setattr(basis, "_modulo_boundaries", spy)
     reports = [verify_basis(*a, style=s) for a in asked for s in (AM, AMW)]
-    assert tracked == [False] * 2 * len(reports)
-    assert [r.betti for r in reports[:8:2]] == [1, 10, 169, 40]
-    assert all(r.ok for r in reports)
-    tracked.clear()
+    assert [(r.count, r.betti, r.independent) for r in reports] == [
+        (1, 1, True), (1, 1, True), (10, 10, True), (10, 10, True),
+        (169, 169, True), (169, 169, True), (40, 40, True), (40, 40, True),
+        (1, 1, True), (1, 1, True), (31, 31, True), (31, 31, True),
+        (6, 6, True), (6, 6, True)]
+    assert residues["calls"] == 0
+
+
+def test_verify_basis_sees_a_repeated_word(monkeypatch):
+    # the extension starts from the image rows: independence is the rank
+    # the word cycles add, not the rank of the whole extension
+    real = basis.enumerate_basis
+    monkeypatch.setattr(basis, "enumerate_basis", lambda *args: real(*args) + real(*args)[:1])
+    report = verify_basis(4, 2, 1, style=AM)
+    assert (report.count, report.betti, report.independent) == (32, 31, False)
+
+
+def snapshot(ech):
+    index = None if ech.rows_at is None else {p: list(r) for p, r in ech.rows_at.items()}
+    return ech.rank, list(ech.rows), list(ech.pivots_of), dict(ech.pivot_row), index
+
+
+@pytest.mark.parametrize("certify_first", [False, True])
+def test_reducing_word_cycles_leaves_the_cached_image_echelons(monkeypatch, certify_first):
+    monkeypatch.setattr(homology, "_image_cache", {})
+    spec = cell_complex(4, 3)
+    cycles = [basis_cycle(w, 3) for w in enumerate_basis(4, 3, 2, AM)]
+    images = {k: homology.image_echelon(spec, k) for k in (1, 2)}
+    if certify_first:
+        # a cycle that does not bound: its certificate builds the column index
+        assert homology.is_boundary(cycles[0]).certificate
+        assert images[2].rows_at is not None
+    before = {k: snapshot(ech) for k, ech in images.items()}
+    for s in (AM, AMW):
+        assert verify_basis(4, 3, 2, style=s).ok
     basis_change(4, 3, 2)
-    assert tracked == [True]
-    monkeypatch.setattr(homology, "_modulo_boundaries", spy)
-    homology.express(basis_cycle(enumerate_basis(3, 2, 1, AMW)[0], 2),
-                     [basis_cycle(w, 2) for w in enumerate_basis(3, 2, 1, AM)])
-    assert tracked == [True, True]
-    monkeypatch.setattr(basis, "_modulo_boundaries", all_tracked)
-    assert [verify_basis(*a, style=s) for a in asked for s in (AM, AMW)] == reports
+    assert homology.express(cycles[1] - cycles[0], cycles).coefficients[:3] == (-1, 1, 0)
+    assert all(homology._image_cache[(spec, k)] is ech for k, ech in images.items())
+    assert {k: snapshot(ech) for k, ech in images.items()} == before
+    # a certificate asked afterwards still checks against the image rows
+    assert homology.is_boundary(cycles[1]).certificate
 
 
 def test_basis_checks_raise_under_python_O():

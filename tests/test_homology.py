@@ -301,6 +301,25 @@ def test_express_failure_leaves_residual():
     assert res.coefficients is None
 
 
+def test_express_on_dependent_and_empty_bases(rng):
+    from stripconf.chains import concat
+    z = concat(wheel_cycle(Wheel((2, 1)), 3), wheel_cycle(Wheel((3,)), 3))
+    chain = z.scale(3) + boundary(random_chain(z.spec, 2, rng))
+    for basis in ([z, z], [z, z.scale(2)], []):
+        res = express(chain, basis)
+        assert res.ok == bool(basis)
+        if res.ok:
+            remainder = chain
+            for c, b in zip(res.coefficients, basis):
+                remainder = remainder - b.scale(c)
+            assert len(res.coefficients) == len(basis)
+            assert is_boundary(remainder)
+    # with no basis the residual is the chain modulo the boundaries
+    left = express(chain, []).residual
+    assert not left.is_zero() and is_boundary(chain - left)
+    assert express(chain - z.scale(3), []).coefficients == ()
+
+
 def test_express_validates_degree():
     w = wheel_cycle(Wheel((2, 1)), 2)
     unit = ChainVector(w.spec, 0, {((1,), (2,)): 1})
@@ -615,9 +634,9 @@ def test_clearing_checks_an_ordered_echelon(monkeypatch):
     assert planted.order == [3, 5, 2]
     assert [planted.column(p) for p in planted.pivots_of] == [5, 3]
     homology._image_cache[(spec, 1)] = planted
-    with pytest.raises(CertificateError, match="pivot cell 5 is not a cycle"):
+    with pytest.raises(CertificateError, match="pivot column 5 is not a cycle"):
         image_echelon(spec, 0)
-    with pytest.raises(CertificateError, match="pivot cell 5 is not a cycle"):
+    with pytest.raises(CertificateError, match="pivot column 5 is not a cycle"):
         boundary_rank(spec, 1)
 
 

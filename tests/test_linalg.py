@@ -306,3 +306,55 @@ def test_rank_mod_p_drops_where_p_divides_the_minors():
     rows = [{0: 1, 1: 1}, {0: 1, 1: -1}]  # the one 2x2 minor is -2
     assert echelon_of_rows(rows).rank == rank_mod_p(rows) == 2
     assert rank_mod_p(rows, 2) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_st, rows_st, st.dictionaries(st.integers(min_value=0, max_value=6), entries,
+                                         max_size=4))
+def test_extension_reduces_modulo_the_image(rows, vecs, target):
+    image = echelon_of_rows(rows)
+    before = (list(image.rows), list(image.pivots_of), dict(image.pivot_row))
+    ext = image.extended(vecs)
+    assert (image.rows, image.pivots_of, image.pivot_row) == before
+    assert ext.position is image.position and ext.order is image.order
+    assert ext.rank - image.rank == rank_mod_p(rows + vecs) - image.rank
+    # target lies in span(rows + vecs) exactly when the extension gives
+    # coordinates; they name only the vecs, and leave an image element
+    target = {c: v for c, v in target.items() if v}
+    coords = ext.coordinates(target)
+    assert (coords is None) == (rank_mod_p(rows + vecs + [target]) > rank_mod_p(rows + vecs))
+    if coords is not None:
+        assert set(coords) <= set(range(len(vecs)))
+        left = combine(vecs, [-coords.get(i, 0) for i in range(len(vecs))])
+        assert not image.residue(combine([target, left], [1, 1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows_st, rows_st, st.lists(st.dictionaries(st.integers(min_value=0, max_value=7),
+                                                  entries, min_size=1, max_size=4),
+                                  min_size=1, max_size=3))
+def test_extension_leaves_the_column_index_of_the_image(rows, vecs, queries):
+    image = echelon_of_rows(rows)
+    for vec in queries:
+        image.annihilator(vec)  # builds the index when vec is off the span
+    index = None if image.rows_at is None else {p: list(r) for p, r in image.rows_at.items()}
+    ext = image.extended(vecs)
+    assert ext.rows_at is None and image.rows_at == index
+    for vec in queries:
+        assert_identical(image.annihilator(vec), full_scan_annihilator(image, vec))
+
+
+def test_extension_starts_from_the_image_rows():
+    image = echelon_of_rows([{0: 1, 1: -1}, {1: 1, 2: -1}])
+    # the empty vec and the image element {0: 2, 2: -2} add no rank, and
+    # {0: 2, 3: 2} is twice {0: 1, 3: 1}
+    ext = image.extended([{}, {0: 2, 2: -2}, {0: 1, 3: 1}, {0: 2, 3: 2}])
+    assert ext.track and ext.rank == image.rank + 1
+    assert ext.combos[:image.rank] == [{}] * image.rank
+    assert ext.dens[:image.rank] == [1] * image.rank
+    assert all(ext.rows[i] is image.rows[i] for i in range(image.rank))
+    assert ext.coordinates({0: 1, 3: 1}) == {2: 1}
+    assert ext.coordinates({2: 3, 3: 3}) == {2: 3}  # {0: 3, 2: -3} bounds
+    assert ext.coordinates({0: 1, 1: -1}) == {}
+    assert ext.coordinates({0: 1}) is None
+    assert image.rank == 2 and not image.track
