@@ -11,9 +11,11 @@ vectors over Q[S_n] by right multiplication with the matrix of those
 signed h.
 
 Young's seminormal form gives Q[S_n] = sum over partitions lambda of
-M_{f_lambda}(Q) with rational entries.  Let R_lambda(d_k) be the
+M_{f_lambda}(Q) with rational entries, kept as int rows over one
+denominator from the generators on.  Let R_lambda(d_k) be the
 (m_k f) x (m_{k-1} f) block matrix with block (c, c') the sum of
-sign * rho_lambda(h) over the facets of rep_c on c'.  Then
+sign * rho_lambda(h) over the facets of rep_c on c'; it is ranked as
+scale * R_lambda(d_k), in ints.  Then
 rank d_k = sum f_lambda * rank R_lambda(d_k), and the multiplicity of
 V_lambda in H_k is m_k f - rank R_lambda(d_k) - rank R_lambda(d_{k+1}).
 As rho_lambda is a homomorphism, R_lambda(d_{k+1}) R_lambda(d_k) = 0, so
@@ -30,9 +32,8 @@ so rho(p) = rho(s_jr) ... rho(s_j1).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-from typing import Iterable, Iterator, List, Optional
+from math import gcd, lcm
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .cells import ComplexSpec, compositions
 from .chains import boundary_cell
@@ -73,8 +74,11 @@ def bubble_swaps(perm: tuple) -> List[int]:
 class Irrep:
     """Young's seminormal form of the irreducible of S_n indexed by `shape`.
 
-    gens[i][S] lists the (column, value) entries of row S of rho(s_i),
-    where s_i swaps the entries i and i + 1 (counted from 0).
+    gens[i] is (rows, den) with rho(s_i) = rows / den, where s_i swaps the
+    entries i and i + 1 (counted from 0) and rows[S] lists the (column,
+    int) entries of row S.  Row T, with content difference d, holds d at T
+    and, when |d| > 1, d^2 or d^2 - 1 at s_i T, all over d^2; den is the
+    lcm of the d^2, to which every row is brought.
     """
 
     def __init__(self, shape: tuple):
@@ -91,24 +95,26 @@ class Irrep:
             contents.append(content)
         self.gens = []
         for i in range(sum(shape) - 1):
+            diffs = [c[i + 1] - c[i] for c in contents]
+            den = lcm(*(d * d for d in diffs))
             gen = []
-            for t, c in zip(tabs, contents):
-                d = c[i + 1] - c[i]
-                row = [(index[t], d if abs(d) == 1 else Fraction(1, d))]
+            for t, d in zip(tabs, diffs):
+                u = den // (d * d)
+                row = [(index[t], d * u)]
                 if abs(d) > 1:
                     # the entry of column T' = s_i T: its beta, taken in T'
                     # where i and i + 1 trade rows
                     swapped = t[:i] + (t[i + 1], t[i]) + t[i + 2:]
-                    row.append((index[swapped],
-                                1 if t[i + 1] < t[i] else 1 - Fraction(1, d * d)))
+                    row.append((index[swapped], den if t[i + 1] < t[i] else den - u))
                 gen.append(row)
-            self.gens.append(gen)
+            self.gens.append((gen, den))
 
-    def matrix(self, perm: tuple) -> List[dict]:
-        """The rows of rho(perm), as sparse dicts."""
-        rows = [{a: 1} for a in range(self.dim)]
+    def matrix(self, perm: tuple) -> Tuple[List[dict], int]:
+        """(rows, den) with rho(perm) = rows / den: sparse dicts of ints,
+        in lowest terms (den >= 1 and coprime to every entry)."""
+        rows, den = [{a: 1} for a in range(self.dim)], 1
         for i in reversed(bubble_swaps(perm)):
-            gen = self.gens[i]
+            gen, d = self.gens[i]
             nxt = []
             for row in rows:
                 out = {}
@@ -116,8 +122,11 @@ class Irrep:
                     for t, x in gen[s]:
                         out[t] = out.get(t, 0) + v * x
                 nxt.append({t: x for t, x in out.items() if x})
-            rows = nxt
-        return rows
+            rows, den = nxt, den * d
+            g = gcd(den, *(x for row in rows for x in row.values()))
+            if g > 1:
+                rows, den = [{t: x // g for t, x in row.items()} for row in rows], den // g
+        return rows, den
 
 
 def orbits(spec: ComplexSpec, degree: int) -> list:
@@ -146,33 +155,33 @@ def block_ranks(spec: ComplexSpec, degrees: Iterable[int]) -> list:
 
     `spec` must be a unit-weight ordered complex and every degree k must
     have 1 <= k <= top degree.  The facet tables are built once, and each
-    rho(h) once per shape, for all the degrees together.  Each shape ranks
-    the asked degrees top down, each block scaled to ints by the lcm of
-    its denominators, clearing k by k + 1 when both were asked.
+    rho(h) once per shape, for all the degrees together.  A block is built
+    in ints: times the lcm `scale` of the dens of the rho(h) it uses, each
+    facet adds sign * (scale // den) times the rows of rho(h), so every
+    row is a positive multiple of that of R_shape(d_k) and ranks alike.
+    Each shape ranks the asked degrees top down, clearing k by k + 1 when
+    both were asked.
     """
     tables = {k: facet_table(spec, k) for k in sorted(degrees, reverse=True)}
+    shuffles = {h for table in tables.values() for facets in table for _, _, h in facets}
     out = []
     for shape in partitions(spec.n):
         irrep = Irrep(shape)
         f = irrep.dim
-        mats = {}
+        mats = {h: irrep.matrix(h) for h in shuffles}
         ranks = {}
         for k, table in tables.items():
+            scale = lcm(*{mats[h][1] for facets in table for _, _, h in facets})
             rows = []
             for facets in table:
+                terms = [(sign * (scale // mats[h][1]), below * f, mats[h][0])
+                         for sign, below, h in facets]
                 for a in range(f):
                     row = {}
-                    for sign, below, h in facets:
-                        m = mats.get(h)
-                        if m is None:
-                            m = mats[h] = irrep.matrix(h)
-                        base = below * f
+                    for c, base, m in terms:
                         for b, v in m[a].items():
-                            row[base + b] = row.get(base + b, 0) + sign * v
-                    rows.append(row)
-            scale = lcm(*{v.denominator for row in rows for v in row.values()})
-            rows = [{c: v.numerator * (scale // v.denominator) for c, v in row.items() if v}
-                    for row in rows]
+                            row[base + b] = row.get(base + b, 0) + c * v
+                    rows.append({col: v for col, v in row.items() if v})
             if k + 1 in ranks:
                 for p in above.clearable(rows):
                     rows[p] = {}

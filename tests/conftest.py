@@ -6,7 +6,9 @@ wheels on consecutive label blocks, listing the orbit S(sigma) of a
 permutation, sampling random chains, summing a boundary in the
 coefficients' own number types and running a script under `python -O`.
 Two are independent oracles for `linalg`: the full-scan certificate that
-`Echelon.annihilator` replaced, and a rank modulo a prime.
+`Echelon.annihilator` replaced, and a rank modulo a prime.  One is the
+oracle for `Irrep.matrix`: the seminormal form in Fractions that its
+integer rows replaced.
 """
 
 import itertools
@@ -15,6 +17,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -23,6 +26,7 @@ import pytest
 from stripconf.cells import cell_complex, enumerate_cells, wheel_decomposition
 from stripconf.chains import ChainVector, boundary_cell
 from stripconf.cycles import Wheel
+from stripconf.equivariant import bubble_swaps, tableaux
 from stripconf.linalg import _divided
 
 
@@ -88,6 +92,46 @@ def full_scan_annihilator(ech, vec):
                 d *= m
             y[p] = -d // a
     return ech.to_columns(_divided(y, den))
+
+
+def fraction_matrix(shape, perm):
+    """rho_shape(perm) as `Irrep.matrix` built it before its integer rows:
+    each seminormal generator with Fraction entries (1/d on the diagonal;
+    1, or 1 - 1/d^2, at s_i T), multiplied out one bubble swap at a time.
+    The reference for the values of `(rows, den)`."""
+    tabs = tableaux(shape)
+    index = {t: a for a, t in enumerate(tabs)}
+    contents = []
+    for t in tabs:
+        filled = [0] * len(shape)
+        content = []
+        for r in t:
+            content.append(filled[r] - r)
+            filled[r] += 1
+        contents.append(content)
+    gens = []
+    for i in range(sum(shape) - 1):
+        gen = []
+        for t, c in zip(tabs, contents):
+            d = c[i + 1] - c[i]
+            row = [(index[t], d if abs(d) == 1 else Fraction(1, d))]
+            if abs(d) > 1:
+                swapped = t[:i] + (t[i + 1], t[i]) + t[i + 2:]
+                row.append((index[swapped],
+                            1 if t[i + 1] < t[i] else 1 - Fraction(1, d * d)))
+            gen.append(row)
+        gens.append(gen)
+    rows = [{a: 1} for a in range(len(tabs))]
+    for i in reversed(bubble_swaps(perm)):
+        nxt = []
+        for row in rows:
+            out = {}
+            for s, v in row.items():
+                for t, x in gens[i][s]:
+                    out[t] = out.get(t, 0) + v * x
+            nxt.append({t: x for t, x in out.items() if x})
+        rows = nxt
+    return rows
 
 
 def assert_identical(got, want):

@@ -1,7 +1,9 @@
 """The isotypic path: seminormal generators, block ranks against the
 cell-level echelons, and the multiplicities of irreducibles."""
 
-from math import factorial
+import hashlib
+from fractions import Fraction
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +14,11 @@ import stripconf.homology as homology
 from stripconf.cells import cell_complex, enumerate_cells, permutohedron
 from stripconf.chains import boundary_matrix
 from stripconf.equivariant import Irrep, block_ranks, partitions, tableaux
-from stripconf.homology import (betti_number, boundary_rank, homology_profile,
-                                image_echelon, isotypic_profile)
+from stripconf.homology import (CertificateError, betti_number, boundary_rank,
+                                homology_profile, image_echelon, isotypic_profile)
 from stripconf.linalg import echelon_of_rows
 
-from conftest import run_optimized
+from conftest import fraction_matrix, run_optimized
 from test_acceptance import FROZEN_BETTI as ACCEPTANCE_BETTI
 from test_homology import FROZEN_BETTI as HOMOLOGY_BETTI
 
@@ -30,6 +32,12 @@ def _product(a, b):
                 acc[t] = acc.get(t, 0) + v * x
         out.append({t: x for t, x in acc.items() if x})
     return out
+
+
+def _rational(matrix):
+    """The rows of rows / den, for `Irrep.matrix`'s (rows, den)."""
+    rows, den = matrix
+    return [{t: Fraction(x, den) for t, x in row.items()} for row in rows]
 
 
 def _identity(f):
@@ -51,7 +59,7 @@ shapes = st.integers(min_value=1, max_value=6).flatmap(
 def test_seminormal_generators_satisfy_the_coxeter_relations(shape):
     n, irrep = sum(shape), Irrep(shape)
     one = _identity(irrep.dim)
-    s = [irrep.matrix(_swap(n, i)) for i in range(n - 1)]
+    s = [_rational(irrep.matrix(_swap(n, i))) for i in range(n - 1)]
     for i in range(n - 1):
         assert _product(s[i], s[i]) == one
         if i + 2 < n:
@@ -70,7 +78,24 @@ def test_matrix_is_a_homomorphism(case):
     shape, g, h = case
     irrep = Irrep(shape)
     gh = tuple(g[h[j]] for j in range(len(g)))
-    assert irrep.matrix(gh) == _product(irrep.matrix(tuple(g)), irrep.matrix(tuple(h)))
+    assert _rational(irrep.matrix(gh)) == \
+        _product(_rational(irrep.matrix(tuple(g))), _rational(irrep.matrix(tuple(h))))
+
+
+@pytest.mark.parametrize("shape", [s for n in range(1, 7) for s in partitions(n)], ids=str)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_matrix_in_lowest_terms(shape, data):
+    n = sum(shape)
+    perm = tuple(data.draw(st.permutations(range(n))))
+    rows, den = Irrep(shape).matrix(perm)
+    values = [x for row in rows for x in row.values()]
+    assert all(type(x) is int for x in values) and type(den) is int
+    assert den >= 1 and gcd(den, *values) == 1
+    assert _rational((rows, den)) == fraction_matrix(shape, perm)
+    inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+    assert Irrep((n,)).matrix(perm) == ([{0: 1}], 1)
+    assert Irrep((1,) * n).matrix(perm) == ([{0: (-1) ** inversions}], 1)
 
 
 def test_dimensions_square_to_the_group_order():
@@ -167,6 +192,22 @@ def test_block_clearing_pins_the_rows_absorbed(monkeypatch):
     assert single == [[380, 278], [760, 717], [532, 528], [76, 76]]
 
 
+def test_block_rows_are_ints(monkeypatch):
+    spec = cell_complex(6, 3)
+    handed = []
+    real = equivariant.echelon_of_rows
+
+    def spy(rows, track=False):
+        handed.extend(v for row in rows for v in row.values())
+        return real(rows, track)
+
+    monkeypatch.setattr(equivariant, "echelon_of_rows", spy)
+    prof = isotypic_profile(spec).profile
+    assert prof.betti == (1, 15, 714, 780, 80)
+    assert boundary_rank(spec, 2) == prof.ranks[2]
+    assert handed and all(type(v) is int for v in handed)
+
+
 def test_a_corrupted_facet_table_raises_under_python_O():
     printed = run_optimized("""
         import sys
@@ -194,6 +235,26 @@ def test_a_corrupted_facet_table_raises_under_python_O():
     assert printed == ["CertificateError", "1"] * 2
 
 
+@pytest.mark.parametrize("shape", list(partitions(5)), ids=str)
+def test_a_corrupted_block_raises_in_every_shape(monkeypatch, shape):
+    # rho(s_0) negated in one block only breaks R(d_{k+1}) R(d_k) = 0 there,
+    # so that block's own clearing check has to see it
+    class Corrupted(Irrep):
+        def __init__(self, s):
+            super().__init__(s)
+            self.bad = s == shape
+
+        def matrix(self, perm):
+            rows, den = super().matrix(perm)
+            if self.bad and perm == _swap(5, 0):
+                rows = [{t: -x for t, x in row.items()} for row in rows]
+            return rows, den
+
+    monkeypatch.setattr(equivariant, "Irrep", Corrupted)
+    with pytest.raises(CertificateError, match="cannot be cleared"):
+        isotypic_profile(cell_complex(5, 3))
+
+
 def test_weighted_and_permutohedra_stay_cell_level():
     for spec in (cell_complex((1, 2, 3), 3, (1, 2, 1)), permutohedron(3, 2)):
         with pytest.raises(ValueError, match="unit weights and ordered blocks"):
@@ -218,3 +279,39 @@ def test_first_homology_at_width_three_is_stable(n):
     iso = isotypic_profile(cell_complex(n, 3))
     assert [(shape, m) for shape, _, m in iso.terms(1)] == \
         [((n,), 1), ((n - 1, 1), 1), ((n - 2, 2), 1)]
+
+
+def _profile_pin(n, width):
+    """(Betti numbers, sha256 of the multiplicity tuple of every degree)."""
+    iso = isotypic_profile(cell_complex(n, width))
+    return iso.profile.betti, hashlib.sha256(repr(iso.multiplicities).encode()).hexdigest()
+
+
+FROZEN_PROFILES = {
+    (7, 3): ((1, 21, 2568, 6468, 3920),
+             "e067f0173118fb907ed6f68b37d0e2d279b239bde61bf1ac74c4d75027b620f3"),
+    (8, 2): ((1, 2815, 61194, 60900, 2520),
+             "3b8f0dd9fb79ad5e2445ceb86fe2fc1f87a7d77993258e9073292849b4317bf9"),
+}
+
+STRETCH_PROFILES = {
+    (8, 3): ((1, 28, 8385, 37464, 76146, 6720),
+             "e1df8c3a4919131c158c12c3c5ad0be08f9a74880782c6a5aa673975b75311f6"),
+    (8, 4): ((1, 28, 322, 21477, 54901, 36239, 2520),
+             "7c3992b44e2cca988e7e834f60d09598c45ac02bbe716efce19edb5de090c7bb"),
+    (9, 2): ((1, 7423, 359130, 858228, 143640),
+             "d9214e012693faa403799fa26cb804e11ad4da68bd4d95c7d65ae1c1ce088218"),
+    (9, 3): ((1, 36, 25625, 177336, 848946, 347760, 13440),
+             "e8cb46b4b4062f1741fcb09e6668095eadc6c6546b3adc8929fae29a903a38d5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_PROFILES), ids=str)
+def test_larger_profiles_frozen(case):
+    assert _profile_pin(*case) == FROZEN_PROFILES[case]
+
+
+@pytest.mark.stretch
+@pytest.mark.parametrize("case", sorted(STRETCH_PROFILES), ids=str)
+def test_stretch_profiles_frozen(case):
+    assert _profile_pin(*case) == STRETCH_PROFILES[case]

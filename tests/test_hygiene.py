@@ -18,6 +18,10 @@ So are the modules that import from `linalg`, `homology` and
 them, and `algebra` reaches none (its R1 coefficients are read off
 chains, not solved for).
 
+`equivariant` imports no `fractions`: the isotypic blocks are built in
+ints, from the seminormal generators to the echelon, and that hot path
+cannot turn rational again unnoticed.
+
 Only `linalg` reads the internals of an `Echelon` (its pivot lists, its
 column index and its tracked combinations); every other module asks it
 through its methods.
@@ -209,6 +213,34 @@ def imports_from(source: str, module: str) -> bool:
 def test_linalg_importers_are_pinned():
     found = {p.stem for p in MODULES if imports_from(p.read_text(), "linalg")}
     assert found == LINALG_IMPORTERS
+
+
+def imported_modules(source: str) -> set:
+    """The absolute modules that the source imports, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+    return found
+
+
+def test_equivariant_imports_no_fractions():
+    assert "fractions" not in imported_modules((PACKAGE / "equivariant.py").read_text())
+
+
+def test_module_finder_reads_absolute_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import fractions as fr\n"
+        "from math import gcd\n"
+        "from .linalg import Echelon\n"
+        "def f():\n"
+        "    from fractions import Fraction\n"
+    )
+    assert imported_modules(source) == {"__future__", "fractions", "math"}
+    assert "fractions" not in imported_modules("from math import lcm  # fractions\n")
 
 
 ECHELON_INTERNALS = {"pivots_of", "pivot_row", "rows_at", "combos", "dens"}
