@@ -586,8 +586,8 @@ class StabilityParams:
 
 def stability_params(k: int, width: int) -> StabilityParams:
     """First-order stability of degree-k homology at this width."""
-    if width < 2:
-        raise ValueError("stability needs width at least 2")
+    if width < 2 or k < 0:
+        raise ValueError(f"stability needs width >= 2 and degree >= 0, not {width} and {k}")
     b = k // (width - 1)
     gen = 2 * k if width >= 3 else 3 * k
     return StabilityParams(width, 1, k, b, b + 1, gen)
@@ -595,8 +595,8 @@ def stability_params(k: int, width: int) -> StabilityParams:
 
 def higher_stability_params(d: int, i: int, width: int) -> StabilityParams:
     """Order-d stability for the d-th quotient filtration stage."""
-    if not 1 <= d <= width // 2:
-        raise ValueError(f"order {d} is out of range at width {width}")
+    if not 1 <= d <= width // 2 or i < 0:
+        raise ValueError(f"order {d} at degree {i} is out of range at width {width}")
     b = (d * i) // (width - d)
     gen = (d + 1) * i if width >= 2 * d + 1 else (d + 1) * i + d
     return StabilityParams(width, d, i, b, b + 1, gen)
@@ -608,7 +608,7 @@ def generation_check(k: int, width: int) -> Tuple[int, bool]:
     Returns (bound, ok): one disk past the bound, every basis word of
     degree k contains a bare one-disk wheel, so the class is induced.
     """
-    bound = 2 * k if width >= 3 else 3 * k
+    bound = stability_params(k, width).generation_degree
     words = enumerate_basis(bound + 1, width, k, AMW)
     ok = all(any(isinstance(f, Wheel) and f.size == 1 for f in w.factors)
              for w in words)

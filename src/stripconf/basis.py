@@ -186,12 +186,11 @@ def verify_basis(labels, width: int, degree: int, style: str = AMW,
     Independence is checked modulo boundaries: the word cycles, absorbed
     into the image echelon of d_{degree+1}, must each add rank.  The Betti
     number comes from the ranks of that image and the one below.  Refused
-    before the basis words are enumerated when degrees degree-1 and
-    degree, or degree and degree+1, exceed `max_cells` cells.
+    before the words are enumerated when the cells from degree-1 up
+    exceed `max_cells`: each image echelon builds the ones above it first.
     """
     spec = cell_complex(labels, width)
-    _guard(spec, (degree - 1, degree), max_cells)
-    _guard(spec, (degree, degree + 1), max_cells)
+    _guard(spec, range(degree - 1, spec.n + 1), max_cells)
     words = enumerate_basis(spec.labels, width, degree, style)
     _, below, _ = _modulo_boundaries(spec, degree - 1, None, max_cells)
     index, image, extended = _modulo_boundaries(
@@ -265,9 +264,10 @@ def basis_change(labels, width: int, degree: int) -> BasisChange:
     matrix is block-triangular with that pairing on the diagonal: bare
     words are fixed, inverted two-wheel words open into two-wheel filters,
     and averaged filters expand as the plain filter plus two-wheel
-    corrections.
+    corrections.  Refused as `verify_basis` is, at DEFAULT_MAX_CELLS.
     """
     spec = cell_complex(labels, width)
+    _guard(spec, range(degree, spec.n + 1), DEFAULT_MAX_CELLS)
     labels = spec.labels
     amw_words = enumerate_basis(labels, width, degree, AMW)
     am_words = enumerate_basis(labels, width, degree, AM)

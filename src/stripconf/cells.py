@@ -157,6 +157,8 @@ def permutohedron(labels, width: Optional[int], weights=None) -> ComplexSpec:
 
 def _normalize(labels, weights):
     if isinstance(labels, int):
+        if labels < 0:
+            raise ValueError(f"label count {labels} is negative")
         labels = tuple(range(1, labels + 1))
     else:
         labels = tuple(sorted(labels))

@@ -303,13 +303,16 @@ class BoundaryMatrix:
     degree: int
     rows: int
     cols: int
-    triplets: tuple  # sorted (row, col, value)
+    entries: tuple = field(repr=False)  # per column, {row: value} of its nonzeros
 
     def columns(self) -> list:
-        cols: list = [dict() for _ in range(self.cols)]
-        for r, c, v in self.triplets:
-            cols[c][r] = v
-        return cols
+        return list(self.entries)  # a new list of the shared dicts
+
+    @property
+    def triplets(self) -> tuple:
+        """Every nonzero as (row, col, value), sorted."""
+        return tuple(sorted((r, c, v) for c, col in enumerate(self.entries)
+                            for r, v in col.items()))
 
 
 def boundary_matrix(spec: ComplexSpec, degree: int) -> BoundaryMatrix:
@@ -324,11 +327,9 @@ def boundary_matrix(spec: ComplexSpec, degree: int) -> BoundaryMatrix:
     uppers = enumerate_cells(spec, degree)
     # uncached: the build asks for each cell once, so it never reads what it stores
     facets_of = boundary_cell.__wrapped__
-    trips = []
-    for j, cell in enumerate(uppers):
-        for facet, s in facets_of(spec, cell):
-            trips.append((lower[facet], j, s))
-    return BoundaryMatrix(spec, degree, len(lower), len(uppers), tuple(sorted(trips)))
+    entries = tuple({lower[facet]: s for facet, s in facets_of(spec, cell)}
+                    for cell in uppers)
+    return BoundaryMatrix(spec, degree, len(lower), len(uppers), entries)
 
 
 @dataclass

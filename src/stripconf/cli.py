@@ -58,8 +58,7 @@ def _spec_from_args(args):
         if all(w == 1 for w in weights):
             wmap = None
     elif args.n is not None:
-        labels = tuple(range(1, args.n + 1))
-        wmap = None
+        labels, wmap = args.n, None
     else:
         raise ValueError("give either --n or --labels")
     maker = permutohedron if args.kind == "perm" else cell_complex
@@ -214,10 +213,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    if args.order and args.order > 1:
-        params = higher_stability_params(args.order, args.k, args.w)
-    else:
+    if args.order == 1:
         params = stability_params(args.k, args.w)
+    else:  # refuses an order below 1
+        params = higher_stability_params(args.order, args.k, args.w)
     payload = {
         "width": params.width,
         "order": params.order,

@@ -15,8 +15,8 @@ of the echelon one degree up (Chen-Kerber's twist, `Echelon.clearable`).
   degree.  The guard counts block rows: m_k orbits times the sum of the f
   of the irreducibles, in every degree.
 * every other complex (weighted labels, permutohedra) is ranked by
-  cell-level echelons, built and cached from the top degree down to the
-  least asked degree, so every degree below the top is cleared.  Each
+  cell-level echelons, each built after, and cleared by, the one above it
+  (`image_echelon`), so every degree below the top is cleared.  Each
   eliminates the cells in increasing count of the boundaries that touch
   them, which the clearing changes from degree to degree; on perm(6;3)
   that cuts the cleared image echelon of d_2 from 32,169 to 9,246 entries.
@@ -30,15 +30,15 @@ against the search-free bound n - ceil(total weight / width).
 
 The echelon of the image of d_{k+1} is cached per (complex, degree); one
 guarded path, `_modulo_boundaries`, reads it for is_boundary and extends
-a copy by the cycles of express and `basis`.  It builds the one degree
-it needs, cleared only when the degree above is already cached.  So which
-rows an echelon holds may depend on what was cached before, but its row
-space, and every rank, membership, witness and certificate, does not.
-Witnesses, certificates and `express` always work on cells.  A tracked
-echelon spans what a plain one spans, so it serves both kinds of query
-and replaces a plain one when a witness is first asked for; there one
-reduction (`Echelon.solve`) gives the witness's coordinates or, when the
-cycle does not bound, its certificate.
+a copy by the cycles of express and `basis`.  Every such echelon is built
+by one rule, cleared by the echelon one degree up, so its rows, and every
+rank, membership, witness and certificate read from them, depend only on
+the complex and the degree, not on what was asked before.  Witnesses,
+certificates and `express` always work on cells.  A tracked echelon has
+the rows of a plain one, so it serves both kinds of query and replaces a
+plain one when a witness is first asked for; there one reduction
+(`Echelon.solve`) gives the witness's coordinates or, when the cycle does
+not bound, its certificate.
 
 Every witness and certificate is checked before it is returned, and a
 failed check raises CertificateError, which `python -O` does not strip.  A
@@ -146,19 +146,19 @@ def image_echelon(spec: ComplexSpec, degree: int, track: bool = False) -> Echelo
     echelon row, which is what boundary witnesses are made of.  A cached
     tracked echelon is returned for untracked requests too.
 
-    When the echelon one degree up is cached, the boundaries of its pivot
-    cells are left out (clearing): they lie in the span of the others.
+    Below the top, the boundaries of the pivot cells of the echelon one
+    degree up, built first if need be, are left out (clearing).
     """
     key = (spec, degree)
     ech = _image_cache.get(key)
     if ech is not None and (ech.track or not track):
         return ech
-    if 0 <= degree < spec.top_degree():
+    top = spec.top_degree()
+    if 0 <= degree < top:
+        above = image_echelon(spec, degree + 1) if degree + 1 < top else Echelon()
         columns = boundary_matrix(spec, degree + 1).columns()
-        above = _image_cache.get((spec, degree + 1))
-        if above is not None:
-            for p in above.clearable(columns):
-                columns[p] = {}
+        for p in above.clearable(columns):
+            columns[p] = {}
         ech = echelon_of_rows(columns, track)
     else:
         ech = Echelon(track=track)
@@ -185,11 +185,9 @@ def _blocks(spec: ComplexSpec, degrees, max_cells: int) -> list:
     if _isotypic(spec):
         _guard(spec, {d for k in asked for d in (k - 1, k)}, max_cells, cells=False)
         return block_ranks(spec, [k for k in asked if 1 <= k <= spec.top_degree()])
-    low = min(asked, default=bound + 2)
-    _guard(spec, range(low - 1, bound + 1), max_cells)
-    ranks = {k: image_echelon(spec, k - 1).rank
-             for k in range(spec.top_degree(), max(low, 1) - 1, -1)}
-    return [(None, 1, {k: ranks[k] for k in asked if k in ranks})]
+    _guard(spec, range(min(asked, default=bound + 2) - 1, bound + 1), max_cells)
+    ranks = {k: image_echelon(spec, k - 1).rank for k in asked if 1 <= k <= spec.top_degree()}
+    return [(None, 1, ranks)]
 
 
 def _ranks(spec: ComplexSpec, degrees, max_cells: int) -> dict:
@@ -205,7 +203,7 @@ def boundary_rank(spec: ComplexSpec, degree: int,
     Refused, before the top degree is searched for, when the degrees that
     its route reads exceed `max_cells`, counted as betti_number counts
     them: degree-1 and degree in isotypic block rows, or every cell from
-    degree-1 up for the cell-level echelons, which are built top-down.
+    degree-1 up for the cell-level echelons, each cleared by the one above.
     """
     return _ranks(spec, [degree], max_cells)[degree]
 
@@ -336,12 +334,12 @@ def _modulo_boundaries(spec: ComplexSpec, k: int, cycles, max_cells: int,
 
     Returns (index, image, extended): the k-cell index, the image echelon
     (tracked when `track`), and `image.extended` by the cycles, tagged by
-    position, or None when `cycles` is None.  Refused first when degrees k
-    and k+1 exceed `max_cells` cells; `cycles` may be lazy and is read only
-    after.  The image echelon is cleared only when degree k+1 is already
-    cached: this path builds no other degree.
+    position, or None when `cycles` is None.  Refused first when the cells
+    of every degree from k up exceed `max_cells`: the image echelon builds
+    the echelons above it to clear by.  `cycles` may be lazy and is read
+    only after.
     """
-    _guard(spec, (k, k + 1), max_cells)
+    _guard(spec, range(k, spec.n + 1), max_cells)
     index, image = cell_index(spec, k), image_echelon(spec, k, track)
     extended = None if cycles is None else image.extended(z.to_column(index) for z in cycles)
     return index, image, extended

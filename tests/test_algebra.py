@@ -557,11 +557,24 @@ def test_stability_guards():
         higher_stability_params(3, 1, 4)
 
 
+def test_stability_refuses_a_negative_degree():
+    with pytest.raises(ValueError, match="degree >= 0, not 3 and -1"):
+        stability_params(-1, 3)
+    with pytest.raises(ValueError, match="order 1 at degree -1 is out of range"):
+        higher_stability_params(1, -1, 3)
+
+
 def test_generation_check():
     for width in (2, 3):
         bound, ok = generation_check(1, width)
         assert ok
         assert bound == (3 if width == 2 else 2)
+
+
+def test_generation_check_reads_the_generation_degree():
+    assert generation_check(2, 4)[0] == stability_params(2, 4).generation_degree
+    with pytest.raises(ValueError, match="width >= 2"):
+        generation_check(1, 1)
 
 
 # ---------------------------------------------------------------------------

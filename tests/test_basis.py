@@ -130,6 +130,17 @@ def test_verify_basis_refuses_before_enumerating_words(monkeypatch, degree, cap)
         verify_basis(5, 3, degree, max_cells=cap)
 
 
+def test_basis_change_refuses_before_enumerating_words(monkeypatch):
+    # degrees 4-6 of cell(9;3) hold 22.5 M cells, past the default cap
+    def refuse(*args, **kwargs):
+        raise AssertionError("the basis words were enumerated")
+
+    monkeypatch.setattr(basis, "enumerate_basis", refuse)
+    monkeypatch.setattr(basis, "basis_cycle", refuse)
+    with pytest.raises(ResourceRefusal, match=r"across degrees \[4, 5, 6\]"):
+        basis_change(9, 3, 4)
+
+
 def test_verify_basis_checks_its_betti_number(monkeypatch):
     monkeypatch.setattr(Echelon, "rank", property(lambda self: 10 ** 6))
     with pytest.raises(CertificateError, match="negative Betti number"):

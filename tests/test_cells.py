@@ -43,6 +43,12 @@ def test_parse_weighted_set_defaults_and_duplicates():
         parse_weighted_set("1:1 1:2")
 
 
+def test_a_negative_label_count_is_refused():
+    for make in (cell_complex, permutohedron):
+        with pytest.raises(ValueError, match="label count -2 is negative"):
+            make(-2, 2)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         cell_complex((0, 1), 2)

@@ -156,6 +156,20 @@ def test_to_column_is_sparse():
     assert cells[list(col)[0]] == ((1,), (2,))
 
 
+@pytest.mark.parametrize("spec", [cell_complex(4, 3),
+                                  cell_complex((1, 2, 3, 4), 3, (1, 2, 1, 1)),
+                                  permutohedron(5, 3)],
+                         ids=lambda spec: spec.describe())
+def test_boundary_matrix_columns_match_its_triplets(spec):
+    for d in range(1, spec.top_degree() + 1):
+        matrix = boundary_matrix(spec, d)
+        rebuilt = [{} for _ in range(matrix.cols)]
+        for r, c, v in matrix.triplets:
+            rebuilt[c][r] = v
+        assert matrix.columns() == rebuilt
+        assert matrix.columns() is not matrix.columns()
+
+
 def test_boundary_matrix_leaves_the_facet_cache_alone():
     spec = cell_complex((11, 12, 13, 14), 3)
     before = boundary_cell.cache_info().currsize

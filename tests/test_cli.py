@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from stripconf.cells import enumerate_cells
-from stripconf.cli import main, parse_permutation
+from stripconf.cli import build_parser, main, parse_permutation
 
 from test_homology import HARD_PACKING
 
@@ -273,6 +273,23 @@ def test_stability_rejects_narrow_strip(capsys):
     code, _, err = run(capsys, "stability", "--k", "1", "--w", "1")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["stability", "--k", "-1", "--w", "3"], "degree >= 0, not 3 and -1"),
+    (["stability", "--k", "1", "--w", "3", "--order", "0"], "order 0 at degree 1"),
+    (["stability", "--k", "1", "--w", "3", "--order", "-3"], "order -3 at degree 1"),
+    (["betti", "--n", "-2", "--w", "2"], "label count -2 is negative"),
+    (["verify", "--scope", "generation", "--k", "1", "--w", "1"], "width >= 2"),
+])
+def test_out_of_range_integers_are_rejected(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+    # the command itself raises, and main turns that into exit code 2
+    args = build_parser().parse_args(argv)
+    with pytest.raises(ValueError, match=message):
+        args.run(args)
 
 
 # ---------------------------------------------------------------------------

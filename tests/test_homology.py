@@ -245,6 +245,31 @@ def test_planted_certificates_raise_under_python_O():
     assert printed == ["CertificateError", "1"] * 2
 
 
+def test_scaled_express_coordinates_raise_under_python_O():
+    printed = run_optimized("""
+        import sys
+        from fractions import Fraction
+        from stripconf.basis import AMW, basis_cycle, enumerate_basis
+        from stripconf.homology import CertificateError, express
+        from stripconf.linalg import Echelon
+
+        honest = Echelon.coordinates
+        # a cycle that does not bound, written in a basis of itself
+        z = basis_cycle(enumerate_basis(3, 2, 1, AMW)[0], 2)
+        assert express(z, [z]).coefficients == (1,)
+        for factor in (2, Fraction(1, 2)):
+            def scaled(self, vec):
+                out = honest(self, vec)
+                return None if out is None else {t: factor * v for t, v in out.items()}
+            Echelon.coordinates = scaled
+            try:
+                express(z, [z])
+            except CertificateError:
+                print("CertificateError", sys.flags.optimize)
+    """)
+    assert printed == ["CertificateError", "1"] * 2
+
+
 @pytest.mark.parametrize("n, width, k", [(5, 2, 0), (5, 2, 1), (5, 3, 0), (5, 3, 2), (6, 2, 2)])
 def test_certificates_match_the_full_scan(n, width, k):
     from stripconf.basis import AMW, basis_cycle, enumerate_basis
@@ -541,8 +566,8 @@ def test_cleared_ranks_match_the_uncleared_echelons(monkeypatch, spec):
     top = spec.top_degree()
     full = {k: echelon_of_rows(boundary_matrix(spec, k).columns()).rank
             for k in range(1, top + 1)}
-    # bottom-up echelons clear nothing, top-down ranks clear every degree
-    # below the top, and a profile sweeps the way top-down ranks do
+    # every echelon below the top is cleared by the one above it, built
+    # first, whatever order the ranks are asked in
     monkeypatch.setattr(homology, "_image_cache", {})
     assert {k: image_echelon(spec, k - 1).rank for k in full} == full
     assert {k: boundary_rank(spec, k) for k in full} == full
@@ -569,6 +594,60 @@ def test_a_rank_builds_the_degrees_above_it_top_down(monkeypatch):
     assert sorted(k for s, k in homology._image_cache if s == spec) == [1, 2, 3]
 
 
+def test_a_membership_query_builds_the_degrees_above_it_top_down(monkeypatch):
+    spec = permutohedron(6, 3)
+    z = boundary(ChainVector(spec, 2, {enumerate_cells(spec, 2)[0]: 1}))
+    built = []
+    real = homology.echelon_of_rows
+
+    def spy(rows, track=False):
+        built.append(sum(1 for row in rows if row))
+        return real(rows, track)
+
+    monkeypatch.setattr(homology, "_image_cache", {})
+    monkeypatch.setattr(homology, "echelon_of_rows", spy)
+    assert is_boundary(z)
+    # d_4, d_3 and d_2, each without the pivots of the one above
+    assert built == [20, 430, 1130]
+
+
+def _membership_answers(spec, chains):
+    """(witness coefficients, certificate) of each chain, asked both ways."""
+    out = []
+    for z in chains:
+        for want in (False, True):
+            ans = is_boundary(z, want_witness=want)
+            out.append((ans.witness.coeffs if ans.witness else None, ans.certificate))
+    return out
+
+
+def test_witnesses_and_certificates_do_not_depend_on_what_ran_first(monkeypatch):
+    spec = cell_complex(5, 3)
+    cells = enumerate_cells(spec, 0)
+    # the difference of two vertices bounds; a lone vertex does not
+    chains = [ChainVector(spec, 0, {cells[0]: 1, cells[-1]: -1}),
+              ChainVector(spec, 0, {cells[7]: 1})]
+    monkeypatch.setattr(homology, "_image_cache", {})
+    cold = _membership_answers(spec, chains)
+    assert cold[1][0] and cold[2][1]
+    monkeypatch.setattr(homology, "_image_cache", {})
+    from stripconf.basis import AMW, basis_cycle, enumerate_basis
+    for k in (1, 2):
+        is_boundary(basis_cycle(enumerate_basis(5, 3, k, AMW)[0], 3), want_witness=True)
+    assert _membership_answers(spec, chains) == cold
+
+    spec = permutohedron(5, 3)
+    up = enumerate_cells(spec, 2)
+    chains = [boundary(ChainVector(spec, 2, {up[3]: 1, up[-1]: 2})),
+              ChainVector(spec, 0, {enumerate_cells(spec, 0)[5]: 1})]
+    monkeypatch.setattr(homology, "_image_cache", {})
+    cold = _membership_answers(spec, chains)
+    assert cold[1][0] and cold[2][1]
+    monkeypatch.setattr(homology, "_image_cache", {})
+    homology_profile(spec)
+    assert _membership_answers(spec, chains) == cold
+
+
 def test_the_sweep_guard_counts_every_degree_it_builds(monkeypatch):
     # perm(6;3) has 720, 1800, 1560, 450 and 20 cells in degrees 0-4
     spec = permutohedron(6, 3)
@@ -587,6 +666,19 @@ def test_the_sweep_guard_counts_every_degree_it_builds(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(homology, "_image_cache", {})
     assert boundary_rank(spec, 2, max_cells=3_830) == 1081
+
+
+def test_the_membership_guard_counts_every_degree_it_builds(monkeypatch):
+    spec = permutohedron(6, 3)
+    z = boundary(ChainVector(spec, 2, {enumerate_cells(spec, 2)[0]: 1}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused query built a boundary matrix")
+
+    monkeypatch.setattr(homology, "_image_cache", {})
+    monkeypatch.setattr(homology, "boundary_matrix", refuse)
+    with pytest.raises(ResourceRefusal, match=r"3830 cells across degrees \[1, 2, 3, 4\]"):
+        is_boundary(z, max_cells=3_500)  # degrees 1 and 2 hold 3,360
 
 
 def _plant_a_non_cycle(spec):
