@@ -1,5 +1,10 @@
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 from math import comb as binom, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -47,6 +52,40 @@ def test_a_negative_label_count_is_refused():
     for make in (cell_complex, permutohedron):
         with pytest.raises(ValueError, match="label count -2 is negative"):
             make(-2, 2)
+
+
+def test_specs_built_separately_share_their_hash_and_caches():
+    a = cell_complex(3, 2, (1, 2, 1))
+    b = ComplexSpec("cell", (1, 2, 3), (1, 2, 1), 2)
+    assert a == b and a is not b
+    # the hash stored at construction is the one the fields would give
+    assert hash(a) == hash(b) == hash(("cell", (1, 2, 3), (1, 2, 1), 2))
+    assert enumerate_cells(a, 1) is enumerate_cells(b, 1)
+    assert len({a: 0, b: 1}) == 1
+    assert a != cell_complex(3, 2) and a != permutohedron(3, 2, (1, 2, 1))
+    # the derived label -> weight dict is no part of eq, hash or repr
+    object.__setattr__(b, "weight_of", {})
+    assert a == b and hash(a) == hash(b)
+    assert "weight_of" not in repr(a) and "_hash" not in repr(a)
+    assert repr(a) == "ComplexSpec(kind='cell', labels=(1, 2, 3), weights=(1, 2, 1), width=2)"
+
+
+def test_an_unpickled_spec_hashes_like_a_fresh_one_under_another_seed():
+    # a str hashes differently in another process, so the stored hash
+    # cannot travel with the pickle
+    spec = permutohedron(3, None, (2, 1, 1))
+    script = ("import pickle, sys; from stripconf.cells import permutohedron; "
+              "spec = pickle.loads(bytes.fromhex(sys.argv[1])); "
+              "fresh = permutohedron(3, None, (2, 1, 1)); "
+              "print(spec == fresh, hash(spec) == hash(fresh), spec in {fresh: 0})")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for seed in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-c", script, pickle.dumps(spec).hex()],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["True", "True", "True"]
 
 
 def test_spec_validation():

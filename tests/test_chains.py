@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -7,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stripconf import chains
 from stripconf.cells import (
     cell_complex,
+    cell_index,
     enumerate_cells,
+    format_cell,
     parse_weighted_set,
     permutohedron,
     wlength,
@@ -297,12 +301,20 @@ def reference_boundary_cell(spec, cell):
 
 
 @st.composite
-def specs_and_cells(draw):
-    labels = tuple(sorted(draw(st.sets(st.integers(1, 40), min_size=1, max_size=6))))
+def specs(draw, max_labels=6):
+    """Both kinds, labels up to 40, weights 1-3, widths 3, 4, 5 and None."""
+    labels = tuple(sorted(draw(st.sets(st.integers(1, 40), min_size=1,
+                                       max_size=max_labels))))
     weights = tuple(draw(st.integers(1, 3)) for _ in labels)
     width = draw(st.sampled_from((3, 4, 5, None)))
     kind = draw(st.sampled_from((cell_complex, permutohedron)))
-    spec = kind(labels, width, weights)
+    return kind(labels, width, weights)
+
+
+@st.composite
+def specs_and_cells(draw):
+    spec = draw(specs())
+    labels, width = spec.labels, spec.width
     order = draw(st.permutations(labels))
     blocks, block, load = [], [], 0
     for a in order:
@@ -325,6 +337,41 @@ def test_boundary_cell_matches_the_per_split_formula(spec_cell):
     spec, cell = spec_cell
     ChainVector.of_cell(spec, cell)  # the drawn cell is admissible
     assert boundary_cell(spec, cell) == reference_boundary_cell(spec, cell)
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs(max_labels=5))
+def test_boundary_matrix_columns_match_boundary_cell(spec):
+    # the uncached loop of boundary_cell, so the drawn specs leave its cache as it was
+    facets_of = boundary_cell.__wrapped__
+    for d in range(1, spec.top_degree() + 1):
+        lower = cell_index(spec, d - 1)
+        want = [{lower[f]: s for f, s in facets_of(spec, cell)}
+                for cell in enumerate_cells(spec, d)]
+        assert boundary_matrix(spec, d).columns() == want
+
+
+def test_verify_boundary_squared_reads_the_matrices(monkeypatch):
+    spec = cell_complex(4, 5, (1, 2, 1, 1))
+    assert spec.top_degree() == 3 and verify_boundary_squared(spec).ok
+    built = chains.boundary_matrix
+
+    def one_flipped(s, degree):
+        matrix = built(s, degree)
+        if degree != 2:
+            return matrix
+        entries = list(matrix.entries)
+        row, v = next(iter(entries[3].items()))
+        entries[3] = {**entries[3], row: -v}
+        return dataclasses.replace(matrix, entries=tuple(entries))
+
+    monkeypatch.setattr(chains, "boundary_matrix", one_flipped)
+    report = verify_boundary_squared(spec)
+    assert not report.ok
+    # column 3 of d_2 fails against d_1, and every column of d_3 that reaches
+    # row 3 of d_2 fails against the flipped column
+    assert (2, format_cell(enumerate_cells(spec, 2)[3])) in report.failures
+    assert {k for k, _ in report.failures} == {2, 3}
 
 
 # Complexes whose cell lists and boundary matrices are pinned by digest: both
