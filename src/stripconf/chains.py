@@ -21,14 +21,13 @@ entries' weight parities (`_splits`), computed once per pattern; unit
 weights are the all-odd pattern.  The Koszul sign flips after each block
 whose wlength is even, i.e. which holds an even number of odd weights.
 
-`boundary_cell` caches the facets of a cell, which chain-level `boundary`
-calls ask for again and again.  A boundary matrix asks for each cell once
-but meets the same few hundred blocks in every cell of a degree, so its
-build keeps its own loop and no cell cache: a table local to the build maps
-each distinct block to its (e1, e2) pairs with signs and its Koszul flip,
-and each entry is the index of head + (e1, e2) + tail.  The two loops are
-tied together by a property test, and `verify_boundary_squared` checks
-d^2 = 0 on both.
+The cells of a chain or of a degree share a few hundred distinct blocks,
+so each boundary call splits every block once: a `_SplitTable`, made per
+call and dropped with it, maps each block to its (e1, e2) pairs with signs
+and its Koszul flip, and each facet is head + (e1, e2) + tail.  No facets
+outlive a call.  `boundary_matrix` keeps its own loop over the table, which
+writes row indices in place; it is tied to the chain-level loop by property
+tests, and `verify_boundary_squared` checks d^2 = 0 on both.
 
 Chain-level boundaries sum in ints.  A chain is scaled by the least common
 multiple `den` of its coefficients' denominators, so each facet sum of
@@ -175,25 +174,27 @@ def _splits(odd: tuple) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=200000)
-def boundary_cell(spec: ComplexSpec, cell) -> tuple:
-    """Facets of one cell with signs, ordered (block index, split size, lex mask).
+class _SplitTable(dict):
+    """block -> (((e1, e2), sign) per split, whether the Koszul sign flips
+    after the block), each entry filled on first use from `_splits` of the
+    block's weight parities.  One table serves one call."""
 
-    Signs come from the `_splits` table of each block's weight parities;
-    the Koszul sign flips after every block of even wlength (odd wdim).
-    """
-    weight_of = spec.weight_of
-    out = []
-    prefix_sign = 1
-    for i, block in enumerate(cell):
-        odd = tuple([weight_of[a] & 1 for a in block])
-        if len(block) >= 2:
-            head, tail = cell[:i], cell[i + 1:]
-            for take1, take2, sign in _splits(odd):
-                out.append((head + (take1(block), take2(block)) + tail, prefix_sign * sign))
-        if not sum(odd) & 1:
-            prefix_sign = -prefix_sign
-    return tuple(out)
+    __slots__ = ("weight_of",)
+
+    def __init__(self, spec: ComplexSpec):
+        self.weight_of = spec.weight_of
+
+    def __missing__(self, block):
+        odd = tuple([self.weight_of[a] & 1 for a in block])
+        entry = self[block] = (
+            tuple([((take1(block), take2(block)), sign) for take1, take2, sign in _splits(odd)]),
+            not sum(odd) & 1)
+        return entry
+
+
+def boundary_cell(spec: ComplexSpec, cell) -> tuple:
+    """Facets of one cell with signs, ordered (block index, split size, lex mask)."""
+    return tuple(_facet_sums(spec, [(cell, 1)]).items())
 
 
 def _denominator(coeffs: dict, den: int = 1) -> int:
@@ -215,11 +216,19 @@ def _scaled(coeffs: dict, den: int):
 def _facet_sums(spec: ComplexSpec, pairs) -> dict:
     """Facet -> sum of coefficient * sign over the (cell, coefficient)
     pairs; sums that cancel stay in as zeros."""
+    table = _SplitTable(spec)
     out: dict = {}
     get = out.get
     for cell, n in pairs:
-        for facet, s in boundary_cell(spec, cell):
-            out[facet] = get(facet, 0) + n * s
+        for i, block in enumerate(cell):
+            splits, flip = table[block]
+            if splits:
+                head, tail = cell[:i], cell[i + 1:]
+                for pair, sign in splits:
+                    facet = head + pair + tail
+                    out[facet] = get(facet, 0) + n * sign
+            if flip:
+                n = -n
     return out
 
 
@@ -229,8 +238,8 @@ def boundary(chain: ChainVector) -> ChainVector:
     sums = _facet_sums(spec, _scaled(coeffs, den))
     if den > 1:
         # a Fraction wherever a Fraction coefficient reaches, an int elsewhere
-        fractional = {facet for cell, v in coeffs.items() if type(v) is not int
-                      for facet, _ in boundary_cell(spec, cell)}
+        fractional = _facet_sums(spec, [(cell, 1) for cell, v in coeffs.items()
+                                        if type(v) is not int])
         sums = {f: Fraction(n, den) if f in fractional else n // den
                 for f, n in sums.items() if n}
     return ChainVector(spec, chain.degree - 1, sums)
@@ -326,31 +335,22 @@ def boundary_matrix(spec: ComplexSpec, degree: int) -> BoundaryMatrix:
     Column j is the boundary of the j-th `degree`-cell expressed in the
     (degree-1)-cells, entry for entry what `boundary_cell` gives.  Each
     distinct block is split once per build, by a table that lives only for
-    the build; `boundary_cell`'s cache is neither read nor filled.
+    the build.
     """
     if degree < 1:
         raise ValueError("boundary_matrix is defined for degree >= 1")
     lower = cell_index(spec, degree - 1)
     uppers = enumerate_cells(spec, degree)
-    weight_of = spec.weight_of
-    # block -> (((e1, e2), sign) per split, whether the Koszul sign flips after it)
-    table: dict = {}
+    table = _SplitTable(spec)
     entries = []
     for cell in uppers:
         col = {}
         prefix = 1
         for i, block in enumerate(cell):
-            entry = table.get(block)
-            if entry is None:
-                odd = tuple([weight_of[a] & 1 for a in block])
-                entry = table[block] = (
-                    tuple([((take1(block), take2(block)), sign)
-                           for take1, take2, sign in _splits(odd)]),
-                    not sum(odd) & 1)
-            pairs, flip = entry
-            if pairs:
+            splits, flip = table[block]
+            if splits:
                 head, tail = cell[:i], cell[i + 1:]
-                for pair, sign in pairs:
+                for pair, sign in splits:
                     col[lower[head + pair + tail]] = prefix * sign
             if flip:
                 prefix = -prefix

@@ -146,7 +146,7 @@ def facet_table(spec: ComplexSpec, degree: int) -> list:
         rep = tuple(tuple(next(it) for _ in range(s)) for s in sizes)
         table.append([(sign, below[tuple(map(len, facet))],
                        tuple(pos[a] for block in facet for a in block))
-                      for facet, sign in boundary_cell.__wrapped__(spec, rep)])
+                      for facet, sign in boundary_cell(spec, rep)])
     return table
 
 

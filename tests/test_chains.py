@@ -174,14 +174,6 @@ def test_boundary_matrix_columns_match_its_triplets(spec):
         assert matrix.columns() is not matrix.columns()
 
 
-def test_boundary_matrix_leaves_the_facet_cache_alone():
-    spec = cell_complex((11, 12, 13, 14), 3)
-    before = boundary_cell.cache_info().currsize
-    for d in range(1, spec.top_degree() + 1):
-        boundary_matrix(spec, d)
-    assert boundary_cell.cache_info().currsize == before
-
-
 def test_boundary_cell_matches_boundary():
     spec = cell_complex(3, 2)
     cell = ((2,), (3, 1))
@@ -342,13 +334,45 @@ def test_boundary_cell_matches_the_per_split_formula(spec_cell):
 @settings(max_examples=60, deadline=None)
 @given(specs(max_labels=5))
 def test_boundary_matrix_columns_match_boundary_cell(spec):
-    # the uncached loop of boundary_cell, so the drawn specs leave its cache as it was
-    facets_of = boundary_cell.__wrapped__
     for d in range(1, spec.top_degree() + 1):
         lower = cell_index(spec, d - 1)
-        want = [{lower[f]: s for f, s in facets_of(spec, cell)}
+        want = [{lower[f]: s for f, s in boundary_cell(spec, cell)}
                 for cell in enumerate_cells(spec, d)]
         assert boundary_matrix(spec, d).columns() == want
+
+
+COEFFS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6))
+
+
+@st.composite
+def specs_and_chains(draw):
+    """A chain of int and Fraction coefficients in a drawn degree k >= 1,
+    plus, below the top degree, a drawn multiple of a column of d_{k+1},
+    whose facets cancel in pairs."""
+    spec = draw(specs(max_labels=5).filter(lambda s: s.top_degree() >= 1))
+    k = draw(st.integers(1, spec.top_degree()))
+    cells = enumerate_cells(spec, k)
+    coeffs = {cells[j]: draw(COEFFS)
+              for j in draw(st.lists(st.integers(0, len(cells) - 1), max_size=6))}
+    if k < spec.top_degree():
+        above = boundary_matrix(spec, k + 1).entries
+        v = draw(COEFFS)
+        for r, s in above[draw(st.integers(0, len(above) - 1))].items():
+            coeffs[cells[r]] = coeffs.get(cells[r], 0) + v * s
+    return ChainVector(spec, k, coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs_and_chains())
+def test_boundary_of_a_chain_is_the_matrix_product(chain):
+    # sum_j c_j * (column j of d_k), summed in the coefficients' own types
+    columns = boundary_matrix(chain.spec, chain.degree).entries
+    index = cell_index(chain.spec, chain.degree)
+    want: dict = {}
+    for cell, v in chain.coeffs.items():
+        for r, s in columns[index[cell]].items():
+            want[r] = want.get(r, 0) + v * s
+    assert boundary(chain).to_column() == {r: v for r, v in want.items() if v}
 
 
 def test_verify_boundary_squared_reads_the_matrices(monkeypatch):

@@ -168,7 +168,6 @@ CACHE_SITES = {
     "cells.cell_index",
     "cells.enumerate_cells",
     "chains._splits",
-    "chains.boundary_cell",
     "cycles._generator_cycle",
     "homology._fill_count",
     "homology._image_cache",
