@@ -15,19 +15,21 @@ These conventions, with the cell order of `cells`, are pinned by a digest
 of boundary matrices in the tests, so a change of convention has to be
 made on purpose.
 
-Both signs depend on the weights only through their parities.  A block's
-split signs are therefore read from a table keyed by the tuple of its
-entries' weight parities (`_splits`), computed once per pattern; unit
-weights are the all-odd pattern.  The Koszul sign flips after each block
-whose wlength is even, i.e. which holds an even number of odd weights.
+Both signs depend on the weights only through their parities: `_splits`
+lists a block's split signs from the tuple of its entries' weight
+parities.  The Koszul sign flips after each block whose wlength is even,
+i.e. which holds an even number of odd weights.
 
-The cells of a chain or of a degree share a few hundred distinct blocks,
-so each boundary call splits every block once: a `_SplitTable`, made per
-call and dropped with it, maps each block to its (e1, e2) pairs with signs
-and its Koszul flip, and each facet is head + (e1, e2) + tail.  No facets
-outlive a call.  `boundary_matrix` keeps its own loop over the table, which
-writes row indices in place; it is tied to the chain-level loop by property
-tests, and `verify_boundary_squared` checks d^2 = 0 on both.
+So a block's splits depend only on its labels and on which of them have
+even weight, not on the kind or width of the complex.  One `_SplitTable`
+per parity class, `_split_table(even)` for the set `even` of labels of even
+weight, maps each block to its (e1, e2) pairs with signs and its Koszul
+flip, filled once per block per process; every unit-weight spec shares
+`_split_table(frozenset())`.  Each facet is head + (e1, e2) + tail and is
+made per call: the tables hold splits of blocks, never facets of cells.
+`boundary_matrix` keeps its own loop over the table, which writes row
+indices in place; it is tied to the chain-level loop by property tests,
+and `verify_boundary_squared` checks d^2 = 0 on both.
 
 Chain-level boundaries sum in ints.  A chain is scaled by the least common
 multiple `den` of its coefficients' denominators, so each facet sum of
@@ -153,7 +155,6 @@ def _take(positions: tuple):
     return itemgetter(*positions)
 
 
-@lru_cache(maxsize=None)
 def _splits(odd: tuple) -> tuple:
     """(take e1, take e2, sign) for every split of a block into (e1, e2).
 
@@ -177,19 +178,30 @@ def _splits(odd: tuple) -> tuple:
 class _SplitTable(dict):
     """block -> (((e1, e2), sign) per split, whether the Koszul sign flips
     after the block), each entry filled on first use from `_splits` of the
-    block's weight parities.  One table serves one call."""
+    block's weight parities, read off the labels of even weight."""
 
-    __slots__ = ("weight_of",)
+    __slots__ = ("even",)
 
-    def __init__(self, spec: ComplexSpec):
-        self.weight_of = spec.weight_of
+    def __init__(self, even: frozenset):
+        self.even = even
 
     def __missing__(self, block):
-        odd = tuple([self.weight_of[a] & 1 for a in block])
+        odd = tuple([a not in self.even for a in block])
         entry = self[block] = (
             tuple([((take1(block), take2(block)), sign) for take1, take2, sign in _splits(odd)]),
             not sum(odd) & 1)
         return entry
+
+
+@lru_cache(maxsize=None)
+def _split_table(even: frozenset) -> _SplitTable:
+    """The one split table of the specs whose labels of even weight are `even`."""
+    return _SplitTable(even)
+
+
+def _table_of(spec: ComplexSpec) -> _SplitTable:
+    """The split table of `spec`'s parity class."""
+    return _split_table(frozenset([a for a, w in spec.weight_of.items() if not w & 1]))
 
 
 def boundary_cell(spec: ComplexSpec, cell) -> tuple:
@@ -216,7 +228,7 @@ def _scaled(coeffs: dict, den: int):
 def _facet_sums(spec: ComplexSpec, pairs) -> dict:
     """Facet -> sum of coefficient * sign over the (cell, coefficient)
     pairs; sums that cancel stay in as zeros."""
-    table = _SplitTable(spec)
+    table = _table_of(spec)
     out: dict = {}
     get = out.get
     for cell, n in pairs:
@@ -333,15 +345,14 @@ def boundary_matrix(spec: ComplexSpec, degree: int) -> BoundaryMatrix:
     """Matrix of d_degree with rows/cols in canonical cell order.
 
     Column j is the boundary of the j-th `degree`-cell expressed in the
-    (degree-1)-cells, entry for entry what `boundary_cell` gives.  Each
-    distinct block is split once per build, by a table that lives only for
-    the build.
+    (degree-1)-cells, entry for entry what `boundary_cell` gives, with
+    each block's splits read from the spec's shared split table.
     """
     if degree < 1:
         raise ValueError("boundary_matrix is defined for degree >= 1")
     lower = cell_index(spec, degree - 1)
     uppers = enumerate_cells(spec, degree)
-    table = _SplitTable(spec)
+    table = _table_of(spec)
     entries = []
     for cell in uppers:
         col = {}

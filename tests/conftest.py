@@ -8,7 +8,9 @@ coefficients' own number types and running a script under `python -O`.
 Two are independent oracles for `linalg`: the full-scan certificate that
 `Echelon.annihilator` replaced, and a rank modulo a prime.  One is the
 oracle for `Irrep.matrix`: the seminormal form in Fractions that its
-integer rows replaced.
+integer rows replaced.  One checks the multiplicities of the isotypic path
+at unrestricted width against a theorem: the Grothendieck-Lefschetz
+identity for Conf_n(C), with Murnaghan-Nakayama characters.
 """
 
 import itertools
@@ -18,7 +20,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd, perm, prod
 from pathlib import Path
 
 import pytest
@@ -132,6 +134,64 @@ def fraction_matrix(shape, perm):
             nxt.append({t: x for t, x in out.items() if x})
         rows = nxt
     return rows
+
+
+def _partitions(n, most=None):
+    """Partitions of n, each as a non-increasing tuple."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, most or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def mn_character(shape, cycle_type) -> int:
+    """chi_shape at a permutation of `cycle_type`, by Murnaghan-Nakayama.
+    On the beta set of the shape, stripping a rim hook of length r moves a
+    bead from b down to a free b - r, with a sign per bead passed."""
+    return _strip_hooks(frozenset(part + len(shape) - 1 - i for i, part in enumerate(shape)),
+                        tuple(cycle_type))
+
+
+def _strip_hooks(beads, cycle_type) -> int:
+    if not cycle_type:
+        return 1
+    r, rest = cycle_type[0], cycle_type[1:]
+    return sum((-1) ** sum(b - r < c < b for c in beads) * _strip_hooks(beads - {b} | {b - r}, rest)
+               for b in beads if b >= r and b - r not in beads)
+
+
+def _irreducibles_over_fq(d, q) -> int:
+    """M_d(q), the number of monic irreducible polynomials of degree d over
+    F_q, from q^d = sum over e | d of e * M_e(q)."""
+    return (q ** d - sum(e * _irreducibles_over_fq(e, q) for e in range(1, d) if d % e == 0)) // d
+
+
+def assert_grothendieck_lefschetz(n, iso):
+    """For every partition shape of n and q = 2..n+3, the twisted point count
+    of the squarefree monic polynomials of degree n over F_q,
+        sum over cycle types mu of chi_shape(mu) prod_d C(M_d(q), m_d(mu)),
+    equals sum_k (-1)^k q^(n-k) mult_shape(H_k) for `iso`, the isotypic
+    profile of cell_complex(n, None), which models Conf_n(C) (its cohomology
+    is pure of Tate type; Church-Ellenberg-Farb 2014, Lehrer 1987).  Summed
+    with the weights dim V(shape) both sides are q(q-1)...(q-n+1), which
+    checks the characters first."""
+    shapes = list(_partitions(n))
+    assert sorted(iso.shapes) == sorted(shapes)
+    dims = dict(zip(iso.shapes, iso.dims))
+    for q in range(2, n + 4):
+        # squarefree monic polynomials whose irreducible factors have degrees mu
+        counts = {mu: prod(comb(_irreducibles_over_fq(d, q), mu.count(d)) for d in set(mu))
+                  for mu in shapes}
+        falling = 0
+        for i, shape in enumerate(iso.shapes):
+            twisted = sum(mn_character(shape, mu) * counts[mu] for mu in shapes)
+            euler = sum((-1) ** k * q ** (n - k) * mult[i]
+                        for k, mult in enumerate(iso.multiplicities))
+            assert twisted == euler, (shape, q)
+            falling += dims[shape] * twisted
+        assert falling == perm(q, n)
 
 
 def assert_identical(got, want):

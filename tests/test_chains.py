@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from math import perm
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from stripconf.chains import (
     merge_specs,
     verify_boundary_squared,
 )
+from stripconf.homology import homology_profile
 
 from conftest import random_chain, rational_boundary
 
@@ -396,6 +398,53 @@ def test_verify_boundary_squared_reads_the_matrices(monkeypatch):
     # row 3 of d_2 fails against the flipped column
     assert (2, format_cell(enumerate_cells(spec, 2)[3])) in report.failures
     assert {k for k, _ in report.failures} == {2, 3}
+
+
+# ---------------------------------------------------------------------------
+# the split tables shared by parity class
+
+
+def assert_matches_the_formula(spec, rng):
+    """Chain-level boundaries against the rational loop, the facets of their
+    cells and every boundary matrix column against the per-split formula."""
+    for chain in _oracle_chains(spec, rng):
+        assert_matches_the_rational_loop(chain)
+        assert bounds(chain, rational_boundary(chain))
+        for cell in chain.coeffs:
+            assert boundary_cell(spec, cell) == reference_boundary_cell(spec, cell)
+    for d in range(1, spec.top_degree() + 1):
+        lower = cell_index(spec, d - 1)
+        want = [{lower[f]: s for f, s in reference_boundary_cell(spec, cell)}
+                for cell in enumerate_cells(spec, d)]
+        assert boundary_matrix(spec, d).columns() == want
+
+
+@pytest.mark.parametrize("width", (3, 4, None))
+@pytest.mark.parametrize("kind", (cell_complex, permutohedron), ids=("cell", "perm"))
+def test_parity_classes_keep_their_own_split_tables(kind, width):
+    # label 2 of weight 1 and 3 shares the unit table, of weight 2 it has its
+    # own; each spec reads the blocks that the one before it split
+    for order in ((1, 2, 3), (3, 2, 1)):
+        chains._split_table.cache_clear()
+        for w in order:
+            spec = kind(5, width, (1, w, 1, 1, 1))
+            assert_matches_the_formula(spec, random.Random(w))
+        assert chains._split_table.cache_info().currsize == 2
+
+
+def test_the_unit_split_table_holds_blocks_not_cells():
+    chains._split_table.cache_clear()
+    homology_profile(permutohedron(6, 3))
+    assert verify_boundary_squared(cell_complex(5, 3)).ok
+    table = chains._split_table(frozenset())
+    assert chains._split_table.cache_info().currsize == 1
+    # every block of distinct labels 1..5 of length <= 3 was met, and nothing
+    # wider or from another label set
+    assert set(table) >= {b for s in (1, 2, 3) for b in itertools.permutations(range(1, 6), s)}
+    assert all(len(set(b)) == len(b) <= 3 and set(b) <= set(range(1, 7)) for b in table)
+    assert len(table) <= sum(perm(6, s) for s in (1, 2, 3))
+    for block, (splits, _) in table.items():
+        assert all(sorted(e1 + e2) == sorted(block) for (e1, e2), _ in splits)
 
 
 # Complexes whose cell lists and boundary matrices are pinned by digest: both

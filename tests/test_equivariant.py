@@ -18,7 +18,7 @@ from stripconf.homology import (CertificateError, betti_number, boundary_rank,
                                 homology_profile, image_echelon, isotypic_profile)
 from stripconf.linalg import echelon_of_rows
 
-from conftest import fraction_matrix, run_optimized
+from conftest import assert_grothendieck_lefschetz, fraction_matrix, run_optimized
 from test_acceptance import FROZEN_BETTI as ACCEPTANCE_BETTI
 from test_homology import FROZEN_BETTI as HOMOLOGY_BETTI
 
@@ -304,6 +304,18 @@ STRETCH_PROFILES = {
     (9, 3): ((1, 36, 25625, 177336, 848946, 347760, 13440),
              "e8cb46b4b4062f1741fcb09e6668095eadc6c6546b3adc8929fae29a903a38d5"),
 }
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_multiplicities_obey_grothendieck_lefschetz(n):
+    # an identity from outside the repo for every irreducible; summed with
+    # the dimensions it is the Stirling count of the Betti numbers
+    assert_grothendieck_lefschetz(n, isotypic_profile(cell_complex(n, None)))
+
+
+@pytest.mark.stretch
+def test_stretch_multiplicities_obey_grothendieck_lefschetz():
+    assert_grothendieck_lefschetz(8, isotypic_profile(cell_complex(8, None)))
 
 
 @pytest.mark.parametrize("case", sorted(FROZEN_PROFILES), ids=str)

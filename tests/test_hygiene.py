@@ -167,7 +167,7 @@ def test_only_pinned_definitions_live_for_the_tests_alone():
 CACHE_SITES = {
     "cells.cell_index",
     "cells.enumerate_cells",
-    "chains._splits",
+    "chains._split_table",
     "cycles._generator_cycle",
     "homology._fill_count",
     "homology._image_cache",
