@@ -180,15 +180,17 @@ class _SplitTable(dict):
     after the block), each entry filled on first use from `_splits` of the
     block's weight parities, read off the labels of even weight."""
 
-    __slots__ = ("even",)
+    __slots__ = ("even", "parts")
 
     def __init__(self, even: frozenset):
-        self.even = even
+        self.even, self.parts = even, {}
 
     def __missing__(self, block):
         odd = tuple([a not in self.even for a in block])
+        one = lambda part: self.parts.setdefault(part, part)  # one object per equal part
         entry = self[block] = (
-            tuple([((take1(block), take2(block)), sign) for take1, take2, sign in _splits(odd)]),
+            tuple([one((one((one(take1(block)), one(take2(block)))), sign))
+                   for take1, take2, sign in _splits(odd)]),
             not sum(odd) & 1)
         return entry
 

@@ -2,7 +2,10 @@
 
 There is one construction: a permutohedron chain on wheel positions,
 taken into the ordered complex, with every position spun out along its
-wheel's split tree (`maps.substitute`).
+wheel's split tree (`maps.substitute`).  It runs once per shape, a word
+relabeled 1, 2, ... in order of first appearance, whose template (its
+factors' cycles concatenated, `_shape_cycle`) each word relabels.  That is
+exact: boundary signs read positions and weight parities, never labels.
 
 A wheel is the top cell on one position spun out by a split tree over
 its disk labels (`maps` holds the spin sign).  The proper wheel
@@ -24,8 +27,8 @@ which is (-1)^{n1} times the spun boundary, so that is negated when the
 first wheel has odd size.  The averaged filter on two wheels equals the
 filter.  A filter is admissible at width w when every sum of all-but-one
 wheel sizes is at most w (`admissible_sizes`), and trivial exactly when
-the total size is at most w.  Every generator chain is checked to be a
-cycle before it is returned; a failure raises CertificateError.
+the total size is at most w.  Every template, and every chain returned, is
+checked to be a cycle; a failure raises CertificateError.
 
 Generator words (concatenations of proper wheels and averaged filters) are
 written `W(3,1)|AF(W(2),W(5,4))`; whitespace is ignored.  Wheels, filters
@@ -37,8 +40,9 @@ lookup never rehashes the factors.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
 from .cells import cell_complex, permutohedron
@@ -207,26 +211,65 @@ def _as_tree(w) -> WheelTree:
 # cycle construction
 
 
+def _shape_of(tree) -> tuple:
+    """A split tree (or a wheel's comb) unlabeled: () a leaf, (left, right) a node."""
+    if isinstance(tree, Wheel):
+        return reduce(lambda shape, _: (shape, ()), range(tree.size - 1), ())
+    return () if isinstance(tree, Leaf) else (_shape_of(tree.left), _shape_of(tree.right))
+
+
+def _grown(shape: tuple, ids) -> WheelTree:
+    """The tree of a shape, its leaves labeled left to right from the iterator."""
+    return Node(_grown(shape[0], ids), _grown(shape[1], ids)) if shape else Leaf(next(ids))
+
+
 @lru_cache(maxsize=8192)
+def _shape_cycle(shape: tuple, width: Optional[int], weights: Optional[tuple]) -> ChainVector:
+    """The checked template of a shape of factors (tree shapes, averaged, sign):
+    a raw generator for one factor of sign 1, else the factors' signed product."""
+    if len(shape) == 1 and shape[0][2] == 1:
+        shapes, averaged, _ = shape[0]
+        ids = itertools.count(1)
+        trees = tuple(_grown(s, ids) for s in shapes)
+        sizes = tuple(map(tree_weight, trees))
+        if not admissible_sizes(sizes, width):
+            raise ValueError(f"inadmissible filter: wheel sizes {sizes} at width {width}")
+        top = _top_cell(trees)
+        chain = top if len(trees) == 1 else boundary(top)
+        return _checked_cycle(_spun(chain, trees, width, averaged, weights))
+    chains, start, sign = [], 0, 1
+    for shapes, averaged, s in shape:
+        part = _shape_cycle(((shapes, averaged, 1),), width, None)
+        chains.append(_relabeled(part, range(start + 1, start + part.spec.n + 1)))
+        start, sign = start + part.spec.n, sign * s
+    return _checked_cycle(concat_all(chains, width).scale(sign))
+
+
+def _relabeled(chain: ChainVector, labels) -> ChainVector:
+    """A chain on 1..n with label i renamed labels[i - 1], weight and all."""
+    name = dict(zip(chain.spec.labels, labels))
+    spec = cell_complex(name.values(), chain.spec.width,
+                        {name[a]: w for a, w in chain.spec.weight_of.items()})
+    blocks = {b: tuple([name[a] for a in b])
+              for b in dict.fromkeys(itertools.chain.from_iterable(chain.coeffs))}
+    return ChainVector(spec, chain.degree, {tuple(map(blocks.__getitem__, c)): v
+                                            for c, v in chain.coeffs.items()})
+
+
 def _generator_cycle(trees: tuple, width: Optional[int], averaged: bool,
                      weights: Optional[tuple] = None) -> ChainVector:
     """The spun top cell on one tree (a wheel), or the spun boundary of the
     top cell on two or more admissible trees (a raw filter, through q when
-    `averaged`), checked to be a cycle: the one cache of generator chains."""
-    sizes = tuple(map(tree_weight, trees))
-    if not admissible_sizes(sizes, width):
-        raise ValueError(f"inadmissible filter: wheel sizes {sizes} at width {width}")
-    top = _top_cell(trees)
-    chain = top if len(trees) == 1 else boundary(top)
-    return _checked_cycle(_spun(chain, trees, width, averaged, weights))
+    `averaged`), weighed in the trees' label order: its template, relabeled."""
+    shape = ((tuple(map(_shape_of, trees)), averaged, 1),)
+    labels = [a for t in trees for a in tree_labels(t)]
+    return _checked_cycle(_relabeled(_shape_cycle(shape, width, weights), labels))
 
 
 def wheel_cycle(wheel, width: Optional[int], weights: Optional[dict] = None) -> ChainVector:
     """The wheel cycle of a split tree (or proper label sequence) at this width."""
     tree = _as_tree(wheel)
-    wt = None
-    if weights is not None:
-        wt = tuple(weights[a] for a in sorted(tree_labels(tree)))
+    wt = None if weights is None else tuple(weights[a] for a in tree_labels(tree))
     return _generator_cycle((tree,), width, False, wt)
 
 
@@ -286,18 +329,18 @@ def averaged_filter_cycle(wheels: Sequence, width: Optional[int] = None) -> Chai
 
 
 def word_cycle(word: GeneratorWord, width: Optional[int]) -> ChainVector:
-    """Concatenation of the factor cycles, left to right; empty word gives the unit."""
-    chains = []
+    """Concatenation of the factor cycles, left to right; empty word gives the
+    unit: its shape's template, relabeled and checked."""
+    shape, labels = [], []
     for f in word.factors:
-        if isinstance(f, Wheel):
-            chains.append(wheel_cycle(f, width))
-        elif isinstance(f, AvgFilter):
-            chains.append(averaged_filter_cycle(f.wheels, width))
-        elif isinstance(f, Filter):
-            chains.append(filter_cycle(f.wheels, width))
-        else:
+        if not isinstance(f, (Wheel, Filter)):
             raise TypeError(f"unknown word factor {f!r}")
-    return _checked_cycle(concat_all(chains, width))
+        wheels = (f,) if isinstance(f, Wheel) else f.wheels
+        # the averaged filter on two wheels is the filter, in its display form
+        shape.append((tuple(map(_shape_of, wheels)), len(wheels) > 2 and isinstance(f, AvgFilter),
+                      -1 if len(wheels) == 2 and wheels[0].size % 2 else 1))
+        labels.extend(a for w in wheels for a in w.labels)
+    return _checked_cycle(_relabeled(_shape_cycle(tuple(shape), width, None), labels))
 
 
 # ---------------------------------------------------------------------------

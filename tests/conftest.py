@@ -5,6 +5,8 @@ suite; the helpers here only cover the recurring chores of building
 wheels on consecutive label blocks, listing the orbit S(sigma) of a
 permutation, sampling random chains, summing a boundary in the
 coefficients' own number types and running a script under `python -O`.
+One is the oracle for the shape templates of `cycles`: generator and word
+cycles built directly on their own labels, with no template or relabeling.
 Two are independent oracles for `linalg`: the full-scan certificate that
 `Echelon.annihilator` replaced, and a rank modulo a prime.  One is the
 oracle for `Irrep.matrix`: the seminormal form in Fractions that its
@@ -26,8 +28,8 @@ from pathlib import Path
 import pytest
 
 from stripconf.cells import cell_complex, enumerate_cells, wheel_decomposition
-from stripconf.chains import ChainVector, boundary_cell
-from stripconf.cycles import Wheel
+from stripconf.chains import ChainVector, boundary, boundary_cell, concat_all
+from stripconf.cycles import AvgFilter, Wheel, _spun, _top_cell
 from stripconf.equivariant import bubble_swaps, tableaux
 from stripconf.linalg import _divided
 
@@ -39,6 +41,26 @@ def wheels_on_blocks(sizes, start=1):
         wheels.append(Wheel(tuple(range(nxt + n - 1, nxt - 1, -1))))
         nxt += n
     return tuple(wheels)
+
+
+def direct_generator_cycle(trees, width, averaged=False, weights=None):
+    """A generator chain built on its own labels: the spun top cell on one
+    tree, or the spun boundary of the top cell on two or more trees
+    (through q when `averaged`); `weights` in ascending label order."""
+    top = _top_cell(trees)
+    return _spun(top if len(trees) == 1 else boundary(top), trees, width, averaged, weights)
+
+
+def direct_word_cycle(word, width):
+    """The concatenation of a word's factor cycles, each built directly on
+    the word's own labels, a filter on two wheels in its display form."""
+    chains = []
+    for f in word.factors:
+        wheels = (f,) if isinstance(f, Wheel) else f.wheels
+        z = direct_generator_cycle(tuple(w.tree() for w in wheels), width,
+                                   isinstance(f, AvgFilter) and len(wheels) > 2)
+        chains.append(-z if len(wheels) == 2 and wheels[0].size % 2 else z)
+    return concat_all(chains, width)
 
 
 def s_of_sigma(sigma) -> tuple:

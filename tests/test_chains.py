@@ -447,6 +447,22 @@ def test_the_unit_split_table_holds_blocks_not_cells():
         assert all(sorted(e1 + e2) == sorted(block) for (e1, e2), _ in splits)
 
 
+@pytest.mark.parametrize("even", [frozenset(), frozenset({2})])
+def test_equal_parts_of_two_blocks_are_one_object(even):
+    table = chains._SplitTable(even)
+    a, b = (table[block][0] for block in [(1, 2, 3, 4), (3, 1, 4, 2)])
+    parts = lambda splits: [p for pair, _ in splits for p in pair]
+    shared = 0
+    for x, y in itertools.product(a, b):
+        assert (x == y) == (x is y)
+        assert (x[0] == y[0]) == (x[0] is y[0])
+        shared += x[0] is y[0]
+    for p, q in itertools.product(parts(a), parts(b)):
+        assert (p == q) == (p is q)
+    # (1, 2)|(3, 4) and (3, 4)|(1, 2) split both blocks
+    assert shared == 2
+
+
 # Complexes whose cell lists and boundary matrices are pinned by digest: both
 # kinds, unit and weighted, widths 3, 4, 5 and unrestricted.
 PINNED_COMPLEXES = [

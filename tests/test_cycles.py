@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from stripconf.algebra import r5_closed_form, r5_instance
+from stripconf.basis import AM, AMW, enumerate_basis
 from stripconf.chains import concat, is_cycle
 from stripconf.cycles import (
     AvgFilter,
@@ -13,6 +14,7 @@ from stripconf.cycles import (
     Wheel,
     WordSyntaxError,
     _generator_cycle,
+    _shape_cycle,
     averaged_filter_cycle,
     filter_cycle,
     format_word,
@@ -22,7 +24,8 @@ from stripconf.cycles import (
 )
 from stripconf.maps import Leaf, Node, comb, tree_labels
 
-from conftest import run_optimized, wheels_on_blocks
+from conftest import (assert_identical, direct_generator_cycle, direct_word_cycle,
+                      run_optimized, wheels_on_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -154,26 +157,32 @@ def test_raw_filter_chain_differs_from_display_by_first_size():
 
 
 def test_one_generator_cycle_entry_serves_every_caller():
-    # wheels, filters, averaged filters and the R5 relation share the
-    # cached chains: once R5 has built them, the others build nothing
-    _generator_cycle.cache_clear()
+    # wheels, filters, averaged filters, words and the R5 relation share the
+    # cached chains of their shapes: once R5 has built them, the others
+    # build nothing, and words of one shape share one template
+    _shape_cycle.cache_clear()
     wheels = wheels_on_blocks((2, 1, 3))
     pairs = [wheels[:k] + wheels[k + 1:] for k in range(3)]
     r5_instance(wheels, 4)
-    misses = _generator_cycle.cache_info().misses
+    misses = _shape_cycle.cache_info().misses
     assert misses == 6  # three wheels and three raw two-wheel filters
     calls = ([lambda w=w: wheel_cycle(w, 4) for w in wheels]
              + [lambda p=p: filter_cycle(p, 4) for p in pairs]
              + [lambda p=p: averaged_filter_cycle(p, 4) for p in pairs])
     for call in calls:
         call()
-    assert _generator_cycle.cache_info().misses == misses
+    assert _shape_cycle.cache_info().misses == misses
     averaged_filter_cycle(wheels, 5)
     misses += 1
     for call in [*calls, lambda: r5_instance(wheels, 4),
                  lambda: averaged_filter_cycle(wheels, 5)]:
         call()
-        assert _generator_cycle.cache_info().misses == misses
+        assert _shape_cycle.cache_info().misses == misses
+    # two words of one shape on other labels: one template, built from the
+    # wheels' entries above
+    for text in ["W(2,1)|W(3)", "W(9,4)|W(6)"]:
+        word_cycle(parse_word(text), 4)
+    assert _shape_cycle.cache_info().misses == misses + 1
 
 
 def test_plain_filter_coefficients_are_ints():
@@ -344,3 +353,88 @@ def test_failed_cycle_checks_raise_under_python_O():
         print(sys.flags.optimize)
     """)
     assert printed == ["CertificateError"] * 4 + ["1"]
+
+
+# ---------------------------------------------------------------------------
+# shape templates: relabeled, they are the chains built on the labels
+
+
+def assert_same_chain(got, want):
+    assert (got.spec, got.degree) == (want.spec, want.degree)
+    assert_identical(got.coeffs, want.coeffs)
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_basis_word_cycles_equal_the_direct_construction(width):
+    for n in range(6):
+        for style in (AM, AMW):
+            for degree in range(max(n, 1)):
+                for word in enumerate_basis(n, width, degree, style):
+                    assert_same_chain(word_cycle(word, width), direct_word_cycle(word, width))
+
+
+def test_word_cycles_on_gapped_labels_equal_the_direct_construction(rng):
+    for _ in range(80):
+        labels = rng.sample((2, 5, 7, 11, 13, 20), rng.randint(1, 6))
+        factors = []
+        while labels:
+            group = labels[:rng.randint(1, len(labels))]
+            labels = labels[len(group):]
+            if len(group) > 1 and rng.random() < 0.5:
+                cuts = sorted(rng.sample(range(1, len(group)), min(len(group) - 1, 2)))
+                factors.append(AvgFilter(tuple(Wheel(tuple(group[i:j])) for i, j
+                                               in zip([0] + cuts, cuts + [len(group)]))))
+            else:
+                factors.append(Wheel(tuple(group)))
+        word = GeneratorWord(tuple(factors))
+        width = rng.choice((None, len(word.labels())))
+        assert_same_chain(word_cycle(word, width), direct_word_cycle(word, width))
+
+
+def test_filters_on_split_trees_equal_the_direct_construction():
+    t = Node(Leaf(5), Node(Leaf(2), Leaf(7)))
+    u = Node(Node(Leaf(11), Leaf(3)), Node(Leaf(4), Leaf(9)))
+    for trees in [(t, Leaf(4)), (Leaf(4), t), (Leaf(3), t, Leaf(1)), (t, u), (u, Leaf(1), t)]:
+        width = sum(len(tree_labels(tree)) for tree in trees)
+        raw = direct_generator_cycle(trees, width)
+        odd_first = len(trees) == 2 and len(tree_labels(trees[0])) % 2
+        assert_same_chain(filter_cycle(trees, width), -raw if odd_first else raw)
+        if len(trees) > 2:
+            assert_same_chain(averaged_filter_cycle(trees, width),
+                              direct_generator_cycle(trees, width, True))
+
+
+def test_weighted_wheel_cycles_equal_the_direct_construction():
+    tree = Node(Leaf(9), Node(Leaf(3), Leaf(4)))
+    for weights in [{9: 2, 3: 1, 4: 3}, {9: 1, 3: 2, 4: 1}]:
+        ascending = tuple(weights[a] for a in sorted(weights))
+        assert_same_chain(wheel_cycle(tree, 6, weights),
+                          direct_generator_cycle((tree,), 6, weights=ascending))
+
+
+def test_corrupted_templates_fail_the_per_call_check_under_python_O():
+    # every chain handed out is checked, also when its template was built
+    # and checked before: drop one term of two cached templates
+    printed = run_optimized("""
+        import sys
+        from stripconf.cycles import (Wheel, _shape_cycle, _shape_of, parse_word,
+                                      wheel_cycle, word_cycle)
+        from stripconf.homology import CertificateError
+
+        calls = [lambda: word_cycle(parse_word("W(5,2)|W(4)"), 2),
+                 lambda: wheel_cycle(Wheel((3, 1)), 2)]
+        for call in calls:
+            call()
+        wheel = ((_shape_of(Wheel((2, 1))),), False, 1)
+        for shape in [(wheel, ((_shape_of(Wheel((1,))),), False, 1)), (wheel,)]:
+            template = _shape_cycle(shape, 2, None)
+            del template.coeffs[next(iter(template.coeffs))]
+        for call in calls:
+            try:
+                call()
+                print("accepted")
+            except CertificateError:
+                print("CertificateError")
+        print(sys.flags.optimize)
+    """)
+    assert printed == ["CertificateError"] * 2 + ["1"]

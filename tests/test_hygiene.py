@@ -168,7 +168,7 @@ CACHE_SITES = {
     "cells.cell_index",
     "cells.enumerate_cells",
     "chains._split_table",
-    "cycles._generator_cycle",
+    "cycles._shape_cycle",
     "homology._fill_count",
     "homology._image_cache",
 }
