@@ -51,11 +51,9 @@ class ComplexSpec:
     labels: tuple
     weights: tuple
     width: Optional[int]
-    # derived from the fields above once, so left out of eq, hash and repr:
-    # label -> weight, so that sign and width tests never hash the spec, and
-    # the hash itself, so that spec-keyed caches do not rehash the fields
+    # label -> weight, derived from the fields above once, so left out of eq,
+    # hash and repr: sign and width tests never hash the spec
     weight_of: dict = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (ORDERED, PERMUTOHEDRON):
@@ -75,16 +73,6 @@ class ComplexSpec:
         if self.width is not None and not (1 <= self.width <= _INT64_MAX):
             raise ValueError(f"width {self.width} out of range")
         object.__setattr__(self, "weight_of", dict(zip(self.labels, self.weights)))
-        object.__setattr__(self, "_hash", hash((self.kind, self.labels, self.weights,
-                                                self.width)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt by the constructor, so the stored hash is that of the
-        # loading process: a str's hash differs between processes
-        return ComplexSpec, (self.kind, self.labels, self.weights, self.width)
 
     @property
     def n(self) -> int:

@@ -262,7 +262,10 @@ def _generator_cycle(trees: tuple, width: Optional[int], averaged: bool,
     top cell on two or more admissible trees (a raw filter, through q when
     `averaged`), weighed in the trees' label order: its template, relabeled."""
     shape = ((tuple(map(_shape_of, trees)), averaged, 1),)
-    labels = [a for t in trees for a in tree_labels(t)]
+    labels = tuple(a for t in trees for a in tree_labels(t))
+    size = sum(weights) if weights else len(labels)
+    if len(trees) == 1 and width is not None and size > width:
+        raise ValueError(f"block {labels} exceeds width {width}")
     return _checked_cycle(_relabeled(_shape_cycle(shape, width, weights), labels))
 
 
@@ -335,6 +338,8 @@ def word_cycle(word: GeneratorWord, width: Optional[int]) -> ChainVector:
     for f in word.factors:
         if not isinstance(f, (Wheel, Filter)):
             raise TypeError(f"unknown word factor {f!r}")
+        if isinstance(f, Wheel) and width is not None and f.size > width:
+            raise ValueError(f"block {f.labels} exceeds width {width}")
         wheels = (f,) if isinstance(f, Wheel) else f.wheels
         # the averaged filter on two wheels is the filter, in its display form
         shape.append((tuple(map(_shape_of, wheels)), len(wheels) > 2 and isinstance(f, AvgFilter),

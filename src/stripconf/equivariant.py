@@ -19,7 +19,7 @@ scale * R_lambda(d_k), in ints.  Then
 rank d_k = sum f_lambda * rank R_lambda(d_k), and the multiplicity of
 V_lambda in H_k is m_k f - rank R_lambda(d_k) - rank R_lambda(d_{k+1}).
 As rho_lambda is a homomorphism, R_lambda(d_{k+1}) R_lambda(d_k) = 0, so
-the blocks clear as the cells do (`Echelon.clearable`).
+the blocks clear as the cells do (`Echelon.clear`).
 
 Conventions: the content of an entry is column - row of its box.  s_i
 swaps i and i + 1 and fixes e_T when they share a row, negates it when
@@ -183,8 +183,7 @@ def block_ranks(spec: ComplexSpec, degrees: Iterable[int]) -> list:
                             row[base + b] = row.get(base + b, 0) + c * v
                     rows.append({col: v for col, v in row.items() if v})
             if k + 1 in ranks:
-                for p in above.clearable(rows):
-                    rows[p] = {}
+                above.clear(rows)
             above = echelon_of_rows(rows)
             ranks[k] = above.rank
         out.append((shape, f, ranks))

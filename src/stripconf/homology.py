@@ -2,18 +2,18 @@
 
 Betti numbers come from exact ranks of the boundary matrices:
 betti_k = #cells_k - rank d_k - rank d_{k+1}.  Every rank takes the one
-guarded route of `_blocks`, picked by the kind of complex alone.  Both
-row sources clear top down: each degree leaves out the rows at the pivots
-of the echelon one degree up (Chen-Kerber's twist, `Echelon.clearable`).
+guarded route of `_blocks`, picked by the kind of complex alone, and every
+profile is assembled from its blocks by one rule (`_profile`).  Both row
+sources clear top down: each degree leaves out the rows at the pivots of
+the echelon one degree up (Chen-Kerber's twist, `Echelon.clear`).
 
 * unit-weight ordered complexes (any label set, any width, None
   included) are ranked per irreducible by the isotypic blocks of
   `equivariant`, which use the free S_n action to rank one small block per
   irreducible instead of the cell-level matrix, and count cells without
-  enumerating them.  `isotypic_profile` builds every profile of such a
-  complex, and also reports the multiplicity of every irreducible in every
-  degree.  The guard counts block rows: m_k orbits times the sum of the f
-  of the irreducibles, in every degree.
+  enumerating them.  `isotypic_profile` also reports the multiplicity of
+  every irreducible in every degree.  The guard counts block rows: m_k
+  orbits times the sum of the f of the irreducibles, in every degree.
 * every other complex (weighted labels, permutohedra) is ranked by
   cell-level echelons, each built after, and cleared by, the one above it
   (`image_echelon`), so every degree below the top is cleared.  Each
@@ -60,7 +60,7 @@ from typing import Dict, Optional, Sequence
 from .cells import (ORDERED, ComplexSpec, cell_complex, cell_index,
                     enumerate_cells, permutohedron, wheel_decomposition)
 from .chains import ChainVector, boundary_matrix, bounds, is_cycle
-from .equivariant import block_ranks, orbits
+from .equivariant import block_ranks
 from .linalg import CertificateError, Echelon, echelon_of_rows
 
 DEFAULT_MAX_CELLS = 5_000_000
@@ -157,8 +157,7 @@ def image_echelon(spec: ComplexSpec, degree: int, track: bool = False) -> Echelo
     if 0 <= degree < top:
         above = image_echelon(spec, degree + 1) if degree + 1 < top else Echelon()
         columns = boundary_matrix(spec, degree + 1).columns()
-        for p in above.clearable(columns):
-            columns[p] = {}
+        above.clear(columns)
         ech = echelon_of_rows(columns, track)
     else:
         ech = Echelon(track=track)
@@ -180,14 +179,15 @@ def _blocks(spec: ComplexSpec, degrees, max_cells: int) -> list:
     block rows or cells): k-1 and k of the asked k for blocks, every degree
     from the least asked k-1 up for cells.  The top is searched for after.
     """
-    bound = _top_bound(spec)
+    bound, isotypic = _top_bound(spec), _isotypic(spec)
     asked = [k for k in degrees if 0 <= k <= bound]
-    if _isotypic(spec):
-        _guard(spec, {d for k in asked for d in (k - 1, k)}, max_cells, cells=False)
-        return block_ranks(spec, [k for k in asked if 1 <= k <= spec.top_degree()])
-    _guard(spec, range(min(asked, default=bound + 2) - 1, bound + 1), max_cells)
-    ranks = {k: image_echelon(spec, k - 1).rank for k in asked if 1 <= k <= spec.top_degree()}
-    return [(None, 1, ranks)]
+    reads = ({d for k in asked for d in (k - 1, k)} if isotypic
+             else range(min(asked, default=bound + 2) - 1, bound + 1))
+    _guard(spec, reads, max_cells, cells=not isotypic)
+    asked = [k for k in asked if 1 <= k <= spec.top_degree()]
+    if isotypic:
+        return block_ranks(spec, asked)
+    return [(None, 1, {k: image_echelon(spec, k - 1).rank for k in asked})]
 
 
 def _ranks(spec: ComplexSpec, degrees, max_cells: int) -> dict:
@@ -253,15 +253,7 @@ def homology_profile(spec: ComplexSpec,
     Not cached itself: a repeated call ranks the isotypic blocks again, or
     reads the cached image echelons.
     """
-    if _isotypic(spec):
-        return isotypic_profile(spec, max_cells).profile
-    ranks = _ranks(spec, range(_top_bound(spec) + 1), max_cells)
-    top = spec.top_degree()
-    if top < 0:
-        return HomologyProfile(spec, (), (), (0,))
-    cells = tuple(_cell_count(spec, d) for d in range(top + 1))
-    ranks = (*(ranks[k] for k in range(top + 1)), 0)
-    return HomologyProfile(spec, _betti(cells, ranks), cells, ranks)
+    return _profile(spec, max_cells).profile
 
 
 def betti_number(spec: ComplexSpec, degree: int,
@@ -307,21 +299,25 @@ def isotypic_profile(spec: ComplexSpec,
     if not _isotypic(spec):
         raise ValueError("isotypic profiles need unit weights and ordered blocks, "
                          f"not {spec.describe()}")
+    return _profile(spec, max_cells)
+
+
+def _profile(spec: ComplexSpec, max_cells: int) -> IsotypicProfile:
+    """The profile and per-block multiplicities of either route of
+    `_blocks`.  The cell route is the one block with f = 1 of the trivial
+    group, whose m_k counts cells; per irreducible, m_k = cells / n!."""
     blocks = _blocks(spec, range(_top_bound(spec) + 1), max_cells)
     top = spec.top_degree()
-    counts = [len(orbits(spec, k)) for k in range(top + 1)]
-    shapes, dims, columns = [], [], []
-    ranks = [0] * (top + 2)
-    for shape, f, block in blocks:
-        shapes.append(shape)
-        dims.append(f)
-        columns.append(_betti([m * f for m in counts],
-                              (0, *(block[k] for k in range(1, top + 1)), 0)))
-        for k in range(1, top + 1):
-            ranks[k] += f * block[k]
-    cells = tuple(m * factorial(spec.n) for m in counts)
+    cells = tuple(_cell_count(spec, k) for k in range(top + 1))
+    group = factorial(spec.n) if _isotypic(spec) else 1
+    ranks, columns = [0] * (top + 2), []
+    for _, f, block in blocks:
+        rk = [block.get(k, 0) for k in range(top + 2)]
+        columns.append(_betti([m // group * f for m in cells], rk))
+        ranks = [r + f * b for r, b in zip(ranks, rk)]
+    shapes, dims, _ = zip(*blocks)
     profile = HomologyProfile(spec, _betti(cells, ranks), cells, tuple(ranks))
-    return IsotypicProfile(profile, tuple(shapes), tuple(dims), tuple(zip(*columns)))
+    return IsotypicProfile(profile, shapes, dims, tuple(zip(*columns)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ updates, and the working row is rescaled only when a pivot does not divide
 its entry.  Answers are scaled back once: ints where integral, Fractions
 elsewhere.  Absorption order is deterministic (least column index, then
 fewest entries, then input index) and every row is primitive with a
-positive pivot, so all answers are reproducible.  `Echelon.clearable` is
+positive pivot, so all answers are reproducible.  `Echelon.clear` is
 the one clearing step of both rank sweeps, cell-level and isotypic.
 
 `echelon_of_rows` orders the columns by increasing count of input rows
@@ -320,12 +320,12 @@ class Echelon:
                     heapq.heappush(heap, -self.pivots_of[j])
         return self.to_columns(_divided(y, den))
 
-    def clearable(self, rows: Sequence[dict]) -> List[int]:
-        """The pivot columns, once each row z is checked to lead with its
-        pivot and to be a cycle: sum z_j * rows[j] = 0 in ints, rows[j] the
-        boundary of column j.  Then, last pivot first, each pivot's boundary
-        lies in the span of the non-pivots' (Chen-Kerber's clearing).  A
-        failed check raises CertificateError."""
+    def clear(self, rows: List[dict]) -> None:
+        """Empty rows[j] at every pivot column j (Chen-Kerber's clearing),
+        once each echelon row z is checked to lead with its pivot and to be
+        a cycle: sum z_j * rows[j] = 0 in ints, rows[j] the boundary of
+        column j.  Then, last pivot first, each pivot's boundary lies in the
+        span of the non-pivots'.  A failed check raises CertificateError."""
         for z, p in zip(self.rows, self.pivots_of):
             dz: Dict[int, int] = {}
             for j, a in self.to_columns(z).items():
@@ -335,7 +335,8 @@ class Echelon:
                 raise CertificateError(f"the echelon row with pivot column {self.column(p)} "
                                        "is not a cycle led by its pivot, so that boundary "
                                        "cannot be cleared")
-        return [self.column(p) for p in self.pivots_of]
+        for p in self.pivots_of:
+            rows[self.column(p)] = {}
 
     def certifies(self, y: dict, vec: dict) -> bool:
         """Whether y(vec) != 0 and y(row) = 0 for every echelon row that the

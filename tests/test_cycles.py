@@ -412,6 +412,20 @@ def test_weighted_wheel_cycles_equal_the_direct_construction():
                           direct_generator_cycle((tree,), 6, weights=ascending))
 
 
+def test_a_block_over_the_width_is_named_by_the_callers_labels():
+    # templates are built on labels 1..n, but the message names the caller's block
+    calls = [
+        (lambda: wheel_cycle(Node(Leaf(9), Node(Leaf(3), Leaf(4))), 5, {9: 2, 3: 1, 4: 3}),
+         "block (9, 3, 4) exceeds width 5"),
+        (lambda: wheel_cycle(Wheel((9, 8, 7)), 2), "block (9, 8, 7) exceeds width 2"),
+        (lambda: word_cycle(parse_word("W(9,8,7)|W(4)"), 2), "block (9, 8, 7) exceeds width 2"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
 def test_corrupted_templates_fail_the_per_call_check_under_python_O():
     # every chain handed out is checked, also when its template was built
     # and checked before: drop one term of two cached templates

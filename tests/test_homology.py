@@ -72,18 +72,25 @@ def test_betti_number_refuses_a_negative_value(monkeypatch):
 
 
 def test_betti_number_matches_profile():
-    spec = cell_complex((1, 2, 3), 3)
-    prof = homology_profile(spec)
-    for d in range(len(prof.betti)):
-        assert betti_number(spec, d) == prof.betti[d]
-    assert betti_number(spec, -1) == 0
-    assert betti_number(spec, 9) == 0
+    # one isotypic spec, then betti_ladder's two on the cell route
+    for spec, betti in [(cell_complex((1, 2, 3), 3), (1, 3, 2)),
+                        (permutohedron(6, 3), (1, 0, 49, 0, 0)),
+                        (_weighted("1 2:2 3 4 5", 3), (1, 61, 124, 16))]:
+        prof = homology_profile(spec)
+        assert prof.betti == betti
+        for d in range(len(prof.betti)):
+            assert betti_number(spec, d) == prof.betti[d]
+        assert tuple(boundary_rank(spec, d) for d in range(len(prof.ranks))) == prof.ranks
+        assert betti_number(spec, -1) == 0
+        assert betti_number(spec, 9) == 0
 
 
 def test_profile_of_overweight_complex_is_empty():
-    spec = cell_complex((1,), 2, (3,))
-    prof = homology_profile(spec)
-    assert prof.betti == ()
+    for spec in (cell_complex((1,), 2, (3,)), cell_complex((1, 2, 3), 2, (1, 3, 1)),
+                 permutohedron((1, 2), 1, (2, 1))):
+        prof = homology_profile(spec)
+        assert (prof.betti, prof.cells, prof.ranks) == ((), (), (0,))
+        assert betti_number(spec, 0) == boundary_rank(spec, 1) == 0
 
 
 def test_profile_cells_and_euler():
