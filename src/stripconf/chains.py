@@ -40,11 +40,20 @@ the coefficients' own types gives.  `is_cycle` tests the int sums for zero
 and builds no chain, and `bounds(witness, chain)` compares
 d(den * witness) with den * chain in ints, `den` taken over both.  Every
 facet of every cell is still summed exactly; only the number type changes.
+
+`morse_matrix` gives the differential of the Morse complex of one acyclic
+matching (Forman, *Morse theory for cell complexes*, 1998; Skoldberg,
+*Morse theory from an algebraic viewpoint*, 2006): the least label a is
+split off to the left of its block, or merged into the block after it.
+Its critical cells come from the cells on the other labels, so neither the
+full complex nor `linalg` is needed, and its entries from the same split
+tables.  `homology` ranks weighted complexes and permutohedra on it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -53,6 +62,7 @@ from operator import itemgetter
 from typing import Iterable, Optional
 
 from .cells import (
+    ORDERED,
     ComplexSpec,
     canonical_key,
     cell_complex,
@@ -369,6 +379,129 @@ def boundary_matrix(spec: ComplexSpec, degree: int) -> BoundaryMatrix:
                 prefix = -prefix
         entries.append(col)
     return BoundaryMatrix(spec, degree, len(lower), len(uppers), tuple(entries))
+
+
+# ---------------------------------------------------------------------------
+# the Morse complex of the least-label matching
+
+
+def _others(spec: ComplexSpec) -> ComplexSpec:
+    """The complex on the labels other than the least."""
+    return ComplexSpec(spec.kind, spec.labels[1:], spec.weights[1:], spec.width)
+
+
+def _fitting(spec: ComplexSpec, degree: int) -> dict:
+    """block -> its number of occurrences in the (degree-1)-cells on the
+    other labels, for every such block that the least label fits into."""
+    room = None if spec.width is None else spec.width - spec.weights[0]
+    weight_of = spec.weight_of
+    count = Counter(itertools.chain.from_iterable(enumerate_cells(_others(spec), degree - 1)))
+    return {block: n for block, n in count.items()
+            if room is None or sum(map(weight_of.__getitem__, block)) <= room}
+
+
+def matched_count(spec: ComplexSpec, degree: int) -> int:
+    """m_degree, the number of matched degree-cells: the blocks that the
+    least label fits into, summed over the (degree-1)-cells on the others."""
+    return sum(_fitting(spec, degree).values())
+
+
+def _critical_cells(spec: ComplexSpec, degree: int) -> list:
+    """The critical degree-cells, from the cells on the other labels: (a)
+    inserted as a singleton where it cannot join the block after it, then,
+    in ordered complexes, a inserted into a block at any place but the first."""
+    single, rest, fit = spec.labels[:1], _others(spec), _fitting(spec, degree + 1)
+    out = [cell[:i] + (single,) + cell[i:] for cell in enumerate_cells(rest, degree)
+           for i in range(len(cell) + 1) if i == len(cell) or cell[i] not in fit]
+    if spec.kind == ORDERED:
+        fit = _fitting(spec, degree)
+        out += [cell[:i] + (block[:p] + single + block[p:],) + cell[i + 1:]
+                for cell in enumerate_cells(rest, degree - 1)
+                for i, block in enumerate(cell) if block in fit
+                for p in range(1, len(block) + 1)]
+    return out
+
+
+@dataclass(frozen=True)
+class MorseMatrix:
+    """d^M_degree of the least-label matching, over the critical cells."""
+    spec: ComplexSpec
+    degree: int
+    rows: int  # critical (degree-1)-cells
+    cols: int  # critical degree-cells
+    incidences: frozenset  # [sigma : tau] of every matched pair of cells sigma of this degree
+    entries: tuple = field(repr=False)  # per column, {row: value} of its nonzeros
+
+    def columns(self) -> list:
+        return list(self.entries)
+
+
+def morse_matrix(spec: ComplexSpec, degree: int) -> MorseMatrix:
+    """d^M_degree of the Morse complex of the least-label matching.
+
+    Let a be the least label.  A cell with a first in a block of two or
+    more labels is matched with its facet that splits (a) off to the left,
+    a singleton (a) followed by a block it fits into with the cell that
+    merges them; every other cell is critical.  As d splits one block into
+    an adjacent pair, the matching is acyclic and its gradient paths are
+    straight: from a facet (.., (a), B, ..) matched upward, through the
+    merged cell s, to (.., B, (a), ..), with factor -[s : (.., B, (a), ..)]
+    [s : (.., (a), B, ..)] (the Koszul signs of the blocks before cancel),
+    until a meets a block it cannot join, or the end.  A column is the
+    boundary of a critical cell, each facet matched upward moved along its
+    path, each facet matched downward left out.  Then
+    rank d_degree = m_degree + rank d^M_degree, when every matched
+    incidence, which `incidences` lists, is a unit.
+
+    Splits come by size of e1, then lex: a block (a,) + B's first split is
+    ((a), B), its last (B, (a)).
+    """
+    if degree < 1:
+        raise ValueError("morse_matrix is defined for degree >= 1")
+    a, single, table = spec.labels[0], spec.labels[:1], _table_of(spec)
+    fit = _fitting(spec, degree)  # holds every block that a path meets
+    lower = {c: i for i, c in enumerate(_critical_cells(spec, degree - 1))}
+    uppers = _critical_cells(spec, degree)
+
+    def settle(facet: tuple, j: int):
+        """(critical cell, factor) at the end of facet's path, a in facet[j];
+        None when the facet is matched downward."""
+        if len(facet[j]) > 1:
+            return None if facet[j][0] == a else (facet, 1)
+        factor = 1
+        while j + 1 < len(facet) and facet[j + 1] in fit:
+            block = facet[j + 1]
+            splits = table[single + block][0]
+            factor *= -splits[0][1] * splits[-1][1]
+            facet = facet[:j] + (block, single) + facet[j + 2:]
+            j += 1
+        return facet, factor
+
+    entries = []
+    for cell in uppers:
+        at = next(i for i, block in enumerate(cell) if a in block)
+        near = at + (len(cell[at]) == 1)  # the block split next to a
+        col: dict = {}
+        prefix = 1
+        for i, block in enumerate(cell):
+            splits, flip = table[block]
+            if splits:
+                head, tail = cell[:i], cell[i + 1:]
+                for pair, sign in splits:
+                    facet, value = head + pair + tail, prefix * sign
+                    if i == near:
+                        settled = settle(facet, at if at < i else i + (a not in pair[0]))
+                        if settled is None:
+                            continue
+                        facet, factor = settled
+                        value *= factor
+                    r = lower[facet]
+                    col[r] = col.get(r, 0) + value
+            if flip:
+                prefix = -prefix
+        entries.append({r: v for r, v in col.items() if v})
+    incidences = frozenset(table[single + block][0][0][1] for block in fit)
+    return MorseMatrix(spec, degree, len(lower), len(uppers), incidences, tuple(entries))
 
 
 @dataclass

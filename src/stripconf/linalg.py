@@ -10,7 +10,8 @@ its entry.  Answers are scaled back once: ints where integral, Fractions
 elsewhere.  Absorption order is deterministic (least column index, then
 fewest entries, then input index) and every row is primitive with a
 positive pivot, so all answers are reproducible.  `Echelon.clear` is
-the one clearing step of both rank sweeps, cell-level and isotypic.
+the one clearing step of every sweep: the Morse and isotypic rank routes
+and the cell-level image echelons of membership.
 
 `echelon_of_rows` orders the columns by increasing count of input rows
 that touch them, ties by column index, before it eliminates: the static

@@ -58,7 +58,7 @@ def test_specs_built_separately_share_their_hash_and_caches():
     a = cell_complex(3, 2, (1, 2, 1))
     b = ComplexSpec("cell", (1, 2, 3), (1, 2, 1), 2)
     assert a == b and a is not b
-    # the hash stored at construction is the one the fields would give
+    # the generated dataclass hash is that of the compared fields
     assert hash(a) == hash(b) == hash(("cell", (1, 2, 3), (1, 2, 1), 2))
     assert enumerate_cells(a, 1) is enumerate_cells(b, 1)
     assert len({a: 0, b: 1}) == 1

@@ -295,12 +295,12 @@ def reference_boundary_cell(spec, cell):
 
 
 @st.composite
-def specs(draw, max_labels=6):
+def specs(draw, max_labels=6, widths=(3, 4, 5, None)):
     """Both kinds, labels up to 40, weights 1-3, widths 3, 4, 5 and None."""
     labels = tuple(sorted(draw(st.sets(st.integers(1, 40), min_size=1,
                                        max_size=max_labels))))
     weights = tuple(draw(st.integers(1, 3)) for _ in labels)
-    width = draw(st.sampled_from((3, 4, 5, None)))
+    width = draw(st.sampled_from(widths))
     kind = draw(st.sampled_from((cell_complex, permutohedron)))
     return kind(labels, width, weights)
 

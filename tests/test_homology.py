@@ -4,10 +4,13 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+import stripconf.chains as chains
 from stripconf.cells import (cell_complex, cell_index, enumerate_cells, parse_weighted_set,
                              permutohedron)
-from stripconf.chains import ChainVector, boundary, boundary_matrix, concat_all, is_cycle
+from stripconf.chains import (ChainVector, boundary, boundary_matrix, concat_all, is_cycle,
+                              matched_count, morse_matrix)
 from stripconf.cycles import Wheel, averaged_filter_cycle, wheel_cycle
 import stripconf.homology as homology
 from stripconf.homology import (
@@ -26,6 +29,7 @@ from stripconf.linalg import Echelon, echelon_of_rows
 
 from conftest import (assert_identical, full_scan_annihilator, random_chain, rank_mod_p,
                       run_optimized)
+from test_chains import specs
 
 
 # ---------------------------------------------------------------------------
@@ -595,10 +599,32 @@ def test_a_rank_builds_the_degrees_above_it_top_down(monkeypatch):
 
     monkeypatch.setattr(homology, "_image_cache", {})
     monkeypatch.setattr(homology, "echelon_of_rows", spy)
-    assert boundary_rank(spec, 2) == 1081
+    assert image_echelon(spec, 1).rank == 1081
     # d_4, d_3 and d_2 in that order, each without the pivots of the one above
     assert built == [20, 450 - 20, 1560 - 430]
     assert sorted(k for s, k in homology._image_cache if s == spec) == [1, 2, 3]
+
+
+def test_a_rank_builds_the_morse_degrees_above_it_top_down(monkeypatch):
+    spec = permutohedron(6, 3)
+    # 610 of the 4,550 cells are critical for the least-label matching
+    assert [morse_matrix(spec, k).rows for k in range(1, 5)] + [morse_matrix(spec, 4).cols] \
+        == [120, 240, 210, 40, 0]
+    assert [matched_count(spec, k) for k in range(6)] == [0, 600, 960, 390, 20, 0]
+    built = []
+    real = homology.echelon_of_rows
+
+    def spy(rows, track=False):
+        built.append(sum(1 for row in rows if row))
+        return real(rows, track)
+
+    monkeypatch.setattr(homology, "_image_cache", {})
+    monkeypatch.setattr(homology, "echelon_of_rows", spy)
+    assert boundary_rank(spec, 2) == 960 + 121
+    # d^M_4, d^M_3 and d^M_2 in that order, each without the pivots of the one above
+    assert built == [0, 40, 210 - 40]
+    assert sorted(key[1:] for key in homology._image_cache if key[0] == spec) == [
+        (1, "morse"), (2, "morse"), (3, "morse")]
 
 
 def test_a_membership_query_builds_the_degrees_above_it_top_down(monkeypatch):
@@ -702,14 +728,15 @@ def test_clearing_checks_the_rows_it_relies_on(monkeypatch):
     with pytest.raises(CertificateError, match="not a cycle"):
         image_echelon(spec, 0)
     with pytest.raises(CertificateError, match="not a cycle"):
-        boundary_rank(spec, 1)
+        is_boundary(ChainVector(spec, 0, {enumerate_cells(spec, 0)[0]: 1}))
 
 
 def test_clearing_check_raises_under_python_O():
     printed = run_optimized("""
         import sys
         import stripconf.homology as homology
-        from stripconf.cells import permutohedron
+        from stripconf.cells import enumerate_cells, permutohedron
+        from stripconf.chains import ChainVector
         from stripconf.linalg import Echelon
 
         spec = permutohedron(4, 2)
@@ -717,7 +744,7 @@ def test_clearing_check_raises_under_python_O():
         planted.absorb({0: 1})
         homology._image_cache[(spec, 1)] = planted
         try:
-            homology.boundary_rank(spec, 1)
+            homology.is_boundary(ChainVector(spec, 0, {enumerate_cells(spec, 0)[0]: 1}))
         except homology.CertificateError:
             print("CertificateError", sys.flags.optimize)
     """)
@@ -736,24 +763,116 @@ def test_clearing_checks_an_ordered_echelon(monkeypatch):
     with pytest.raises(CertificateError, match="pivot column 5 is not a cycle"):
         image_echelon(spec, 0)
     with pytest.raises(CertificateError, match="pivot column 5 is not a cycle"):
-        boundary_rank(spec, 1)
+        is_boundary(ChainVector(spec, 0, {enumerate_cells(spec, 0)[0]: 1}))
 
 
 def test_ordered_clearing_check_raises_under_python_O():
     printed = run_optimized("""
         import sys
         import stripconf.homology as homology
-        from stripconf.cells import permutohedron
+        from stripconf.cells import enumerate_cells, permutohedron
+        from stripconf.chains import ChainVector
         from stripconf.linalg import echelon_of_rows
 
         spec = permutohedron(4, 2)
         homology._image_cache[(spec, 1)] = echelon_of_rows([{2: 1, 5: 1}, {2: 1, 3: 1}])
         try:
-            homology.boundary_rank(spec, 1)
+            homology.is_boundary(ChainVector(spec, 0, {enumerate_cells(spec, 0)[0]: 1}))
         except homology.CertificateError as err:
             print("CertificateError", sys.flags.optimize, str(err).split()[6])
     """)
     assert printed == ["CertificateError", "1", "5"]
+
+
+def test_a_non_unit_matched_incidence_is_refused(monkeypatch):
+    monkeypatch.setattr(homology, "_image_cache", {})
+    # double the incidence of the matched pair (1 2) -> (1)|(2)
+    table = chains._split_table(frozenset())
+    (first, sign), *rest = table[(1, 2)][0]
+    monkeypatch.setitem(table, (1, 2), (((first, 2 * sign), *rest), table[(1, 2)][1]))
+    with pytest.raises(CertificateError, match=r"matched incidences \[-2, -1\] in degree 2"):
+        boundary_rank(permutohedron(4, 2), 1)
+
+
+def test_a_critical_cell_left_out_of_the_count_is_refused(monkeypatch):
+    spec = _weighted("1 2:2 3", 3)  # 2 and 8 critical cells in degrees 0 and 1, the top
+    real = chains._critical_cells
+    monkeypatch.setattr(homology, "_image_cache", {})
+    monkeypatch.setattr(chains, "_critical_cells",
+                        lambda s, k: real(s, k)[:-1] if k == 1 else real(s, k))
+    with pytest.raises(CertificateError,
+                       match=r"11 critical and matched cells in degree 1 .*, not 12"):
+        boundary_rank(spec, 1)
+
+
+def test_a_morse_echelon_row_that_is_no_cycle_is_refused(monkeypatch):
+    spec = permutohedron(4, 2)
+    monkeypatch.setattr(homology, "_image_cache", {})
+    planted = Echelon()
+    planted.absorb({0: 1})  # d^M of the first critical 1-cell is not zero
+    homology._image_cache[(spec, 1, "morse")] = planted
+    with pytest.raises(CertificateError, match="not a cycle"):
+        boundary_rank(spec, 1)
+
+
+def test_planted_morse_faults_raise_under_python_O():
+    printed = run_optimized("""
+        import sys
+        import stripconf.chains as chains
+        import stripconf.homology as homology
+        from stripconf.cells import cell_complex, permutohedron
+        from stripconf.linalg import Echelon
+
+        def refused(spec):
+            homology._image_cache.clear()
+            try:
+                homology.boundary_rank(spec, 1)
+            except homology.CertificateError:
+                print("CertificateError", sys.flags.optimize)
+
+        table = chains._split_table(frozenset())
+        entry = table[(1, 2)]
+        (first, sign), *rest = entry[0]
+        table[(1, 2)] = (((first, 2 * sign), *rest), entry[1])
+        refused(permutohedron(4, 2))
+        table[(1, 2)] = entry
+
+        real = chains._critical_cells
+        chains._critical_cells = lambda s, k: real(s, k)[:-1] if k == 1 else real(s, k)
+        refused(cell_complex(3, 3, (1, 2, 1)))
+        chains._critical_cells = real
+
+        planted = Echelon()
+        planted.absorb({0: 1})
+        homology._image_cache.clear()
+        homology._image_cache[(permutohedron(4, 2), 1, "morse")] = planted
+        try:
+            homology.boundary_rank(permutohedron(4, 2), 1)
+        except homology.CertificateError:
+            print("CertificateError", sys.flags.optimize)
+    """)
+    assert printed == ["CertificateError", "1"] * 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs(widths=(1, 2, 3, 4, 5, 6, None)).filter(
+    lambda spec: sum(len(enumerate_cells(spec, d)) for d in range(spec.n)) <= 2500))
+def test_boundary_ranks_match_the_cell_level_echelons(spec):
+    top = spec.top_degree()
+    want = {}
+    for k in range(1, top + 1):
+        columns = boundary_matrix(spec, k).columns()
+        want[k] = echelon_of_rows(columns).rank
+        assert rank_mod_p(columns) == want[k]
+        # the Morse complex of every spec, whatever route its ranks take
+        assert matched_count(spec, k) + echelon_of_rows(morse_matrix(spec, k).columns()).rank \
+            == want[k]
+    with pytest.MonkeyPatch.context() as mp:
+        for k in want:  # each degree alone, built cold
+            mp.setattr(homology, "_image_cache", {})
+            assert boundary_rank(spec, k) == want[k]
+        mp.setattr(homology, "_image_cache", {})  # every degree in one call
+        assert homology_profile(spec).ranks[1:top + 1] == tuple(want.values())
 
 
 @pytest.mark.parametrize("spec", [permutohedron(5, 3), permutohedron(6, 3),
@@ -766,13 +885,13 @@ def test_cleared_sweep_ranks_match_rank_mod_p(monkeypatch, spec):
     assert ranks == (0, *(rank_mod_p(boundary_matrix(spec, k).columns())
                           for k in range(1, top + 1)), 0)
     # every degree below the top was eliminated in count order and cleared
-    assert all(homology._image_cache[(spec, k)].order for k in range(top))
+    assert all(image_echelon(spec, k).order for k in range(top))
 
 
 def test_count_order_pins_the_cleared_echelon_size(monkeypatch):
     spec = permutohedron(6, 3)
     monkeypatch.setattr(homology, "_image_cache", {})
-    assert boundary_rank(spec, 1) == 719
+    assert image_echelon(spec, 0).rank == 719
     ech = homology._image_cache[(spec, 1)]  # the image of d_2, cleared by d_3's
     assert ech.rank == 1081
     # 32,169 entries when the columns are eliminated in index order
@@ -853,6 +972,17 @@ def test_permutohedron_seven_three_profile(monkeypatch):
     prof = homology_profile(permutohedron(7, 3))
     assert prof.betti == (1, 0, 209, 0, 0)
     assert prof.cells == (5040, 15120, 16800, 7560, 1050)
+    assert prof.ranks == (0, 5039, 10081, 6510, 1050, 0)
+
+
+@pytest.mark.stretch
+def test_permutohedron_eight_three_profile(monkeypatch):
+    # the values of the cell-level route, which took 9-11 s and 370 MB
+    monkeypatch.setattr(homology, "_image_cache", {})
+    prof = homology_profile(permutohedron(8, 3))
+    assert prof.cells == (40320, 141120, 191520, 117600, 29400, 1680)
+    assert prof.ranks == (0, 40319, 100801, 89950, 27650, 1680, 0)
+    assert prof.betti == (1, 0, 769, 0, 70, 0)
 
 
 def test_decomposition_check_seven_labels_width_two(monkeypatch):

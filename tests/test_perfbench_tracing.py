@@ -49,6 +49,9 @@ def test_tracer_traces_every_layer_and_uninstalls(monkeypatch):
         spec = cell_complex(4, 2)
         z = chains.boundary(chains.ChainVector(spec, 2, {enumerate_cells(spec, 2)[0]: 1}))
         homology.homology_profile(permutohedron(4, 2))
+        perm = permutohedron(4, 2)  # its stage row comes from a membership query
+        zp = chains.boundary(chains.ChainVector(perm, 2, {enumerate_cells(perm, 2)[0]: 1}))
+        assert homology.is_boundary(zp)
         assert homology.is_boundary(z, want_witness=True).witness is not None
         assert basis.verify_basis(4, 2, 1).ok
         assert not algebra.reduce("W(3)|W(2,1)", 3).is_zero()
