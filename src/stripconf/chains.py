@@ -47,17 +47,17 @@ matching (Forman, *Morse theory for cell complexes*, 1998; Skoldberg,
 split off to the left of its block, or merged into the block after it.
 Its critical cells come from the cells on the other labels, so neither the
 full complex nor `linalg` is needed, and its entries from the same split
-tables.  `homology` ranks weighted complexes and permutohedra on it.
+tables; whether a joins a block is a weight test on the block (`_fit`).
+`homology` ranks weighted complexes and permutohedra on it.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import inf, lcm
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -390,34 +390,38 @@ def _others(spec: ComplexSpec) -> ComplexSpec:
     return ComplexSpec(spec.kind, spec.labels[1:], spec.weights[1:], spec.width)
 
 
-def _fitting(spec: ComplexSpec, degree: int) -> dict:
-    """block -> its number of occurrences in the (degree-1)-cells on the
-    other labels, for every such block that the least label fits into."""
-    room = None if spec.width is None else spec.width - spec.weights[0]
-    weight_of = spec.weight_of
-    count = Counter(itertools.chain.from_iterable(enumerate_cells(_others(spec), degree - 1)))
-    return {block: n for block, n in count.items()
-            if room is None or sum(map(weight_of.__getitem__, block)) <= room}
+def _fit(spec: ComplexSpec) -> tuple:
+    """(weigh, room): the least label a fits into a block B of other labels
+    when weigh(B) <= room, that is when w(B) + w_a is at most the width."""
+    room = inf if spec.width is None else spec.width - spec.weights[0]
+    return _BlockWeights(spec.weight_of).__getitem__, room
 
 
-def matched_count(spec: ComplexSpec, degree: int) -> int:
-    """m_degree, the number of matched degree-cells: the blocks that the
-    least label fits into, summed over the (degree-1)-cells on the others."""
-    return sum(_fitting(spec, degree).values())
+class _BlockWeights(dict):
+    """block -> its weight, summed on first use; one per call, not a cache."""
+
+    __slots__ = ("weight_of",)
+
+    def __init__(self, weight_of: dict):
+        self.weight_of = weight_of
+
+    def __missing__(self, block):
+        weight = self[block] = sum(map(self.weight_of.__getitem__, block))
+        return weight
 
 
 def _critical_cells(spec: ComplexSpec, degree: int) -> list:
     """The critical degree-cells, from the cells on the other labels: (a)
     inserted as a singleton where it cannot join the block after it, then,
     in ordered complexes, a inserted into a block at any place but the first."""
-    single, rest, fit = spec.labels[:1], _others(spec), _fitting(spec, degree + 1)
+    single, rest = spec.labels[:1], _others(spec)
+    weigh, room = _fit(spec)
     out = [cell[:i] + (single,) + cell[i:] for cell in enumerate_cells(rest, degree)
-           for i in range(len(cell) + 1) if i == len(cell) or cell[i] not in fit]
+           for i in range(len(cell) + 1) if i == len(cell) or weigh(cell[i]) > room]
     if spec.kind == ORDERED:
-        fit = _fitting(spec, degree)
         out += [cell[:i] + (block[:p] + single + block[p:],) + cell[i + 1:]
                 for cell in enumerate_cells(rest, degree - 1)
-                for i, block in enumerate(cell) if block in fit
+                for i, block in enumerate(cell) if weigh(block) <= room
                 for p in range(1, len(block) + 1)]
     return out
 
@@ -427,16 +431,22 @@ class MorseMatrix:
     """d^M_degree of the least-label matching, over the critical cells."""
     spec: ComplexSpec
     degree: int
-    rows: int  # critical (degree-1)-cells
+    lowers: list = field(repr=False)  # the critical (degree-1)-cells, one per row
     cols: int  # critical degree-cells
-    incidences: frozenset  # [sigma : tau] of every matched pair of cells sigma of this degree
+    # [(a)+B : (a)|B] of every block B of other labels that a fits into and
+    # a (degree-1)-cell can hold by its size: every matched pair of this degree
+    incidences: frozenset
     entries: tuple = field(repr=False)  # per column, {row: value} of its nonzeros
+
+    @property
+    def rows(self) -> int:
+        return len(self.lowers)
 
     def columns(self) -> list:
         return list(self.entries)
 
 
-def morse_matrix(spec: ComplexSpec, degree: int) -> MorseMatrix:
+def morse_matrix(spec: ComplexSpec, degree: int, uppers: Optional[list] = None) -> MorseMatrix:
     """d^M_degree of the Morse complex of the least-label matching.
 
     Let a be the least label.  A cell with a first in a block of two or
@@ -453,15 +463,22 @@ def morse_matrix(spec: ComplexSpec, degree: int) -> MorseMatrix:
     rank d_degree = m_degree + rank d^M_degree, when every matched
     incidence, which `incidences` lists, is a unit.
 
+    The columns are `uppers`, the critical degree-cells, listed here when
+    not given; the rows, `lowers`, are listed here.  Whether a fits into a
+    block is a weight test (`_fit`): every block asked about is a block of
+    a cell on the other labels.
+
     Splits come by size of e1, then lex: a block (a,) + B's first split is
     ((a), B), its last (B, (a)).
     """
     if degree < 1:
         raise ValueError("morse_matrix is defined for degree >= 1")
     a, single, table = spec.labels[0], spec.labels[:1], _table_of(spec)
-    fit = _fitting(spec, degree)  # holds every block that a path meets
-    lower = {c: i for i, c in enumerate(_critical_cells(spec, degree - 1))}
-    uppers = _critical_cells(spec, degree)
+    weigh, room = _fit(spec)
+    lowers = _critical_cells(spec, degree - 1)
+    lower = {c: i for i, c in enumerate(lowers)}
+    if uppers is None:
+        uppers = _critical_cells(spec, degree)
 
     def settle(facet: tuple, j: int):
         """(critical cell, factor) at the end of facet's path, a in facet[j];
@@ -469,7 +486,7 @@ def morse_matrix(spec: ComplexSpec, degree: int) -> MorseMatrix:
         if len(facet[j]) > 1:
             return None if facet[j][0] == a else (facet, 1)
         factor = 1
-        while j + 1 < len(facet) and facet[j + 1] in fit:
+        while j + 1 < len(facet) and weigh(facet[j + 1]) <= room:
             block = facet[j + 1]
             splits = table[single + block][0]
             factor *= -splits[0][1] * splits[-1][1]
@@ -500,8 +517,12 @@ def morse_matrix(spec: ComplexSpec, degree: int) -> MorseMatrix:
             if flip:
                 prefix = -prefix
         entries.append({r: v for r, v in col.items() if v})
-    incidences = frozenset(table[single + block][0][0][1] for block in fit)
-    return MorseMatrix(spec, degree, len(lower), len(uppers), incidences, tuple(entries))
+    # a block of weight at most room has at most room labels
+    pick = itertools.permutations if spec.kind == ORDERED else itertools.combinations
+    incidences = frozenset(table[single + block][0][0][1]
+                           for size in range(1, min(degree, room) + 1)
+                           for block in pick(spec.labels[1:], size) if weigh(block) <= room)
+    return MorseMatrix(spec, degree, lowers, len(uppers), incidences, tuple(entries))
 
 
 @dataclass

@@ -18,14 +18,20 @@ the echelon one degree up (Chen-Kerber's twist, `Echelon.clear`).
   Morse complex of the least-label matching (`chains.morse_matrix`):
   rank d_k = m_k + rank d^M_k, with m_k matched k-cells.  On perm(6;3)
   610 of the 4,550 cells are critical, on perm(8;3) 56,280 of 521,640.
-  The echelons of d^M are built top down by the driver of `image_echelon`,
-  each cleared by the one above, and cached apart from membership's under
-  (spec, degree, "morse").  Two checks raise CertificateError: every
-  matched incidence is a unit, and in every degree built the critical and
-  matched cells add up to the cells (`_morse_matrix`).  The guard counts
-  cells in every degree the sweep reads: exactly (kind- and width-aware)
-  for unit weights, and the unrestricted count, an upper estimate, for
-  weighted labels.
+  Only the cells on the labels other than the least are listed: the cells
+  of every degree and the m_k are counted by weight class, exactly for
+  every spec (`_fill_count`, `matched_count`).  The echelons of d^M are
+  built top down in one pass, each cleared by the one above with the step
+  of `image_echelon` (`_cleared`), and cached apart from membership's
+  under (spec, degree, "morse").  The pass lists the critical cells of
+  each degree once: the rows of one matrix are the columns of the next.
+  Two checks raise CertificateError: every matched incidence is a unit,
+  and in both degrees of every matrix built the listed critical cells and
+  the counted matched cells add up to the counted cells (`_morse_matrix`).
+  The guard counts cells in every degree the sweep reads: exactly for
+  unit weights, and for weighted labels by the unrestricted ordered count,
+  an upper estimate, because it must stay immediate where an exact
+  weighted count need not be (`estimate_cells`).
 
 The guards of homology_profile, betti_number, boundary_rank, is_boundary,
 express and verify_basis run before the exact top degree is searched for,
@@ -60,13 +66,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, perm
+from math import comb, factorial
 from typing import Dict, Optional, Sequence
 
 from .cells import (ORDERED, ComplexSpec, cell_complex, cell_index,
                     enumerate_cells, permutohedron, wheel_decomposition)
-from .chains import (ChainVector, MorseMatrix, boundary_matrix, bounds, is_cycle,
-                     matched_count, morse_matrix)
+from .chains import ChainVector, MorseMatrix, boundary_matrix, bounds, is_cycle, morse_matrix
 from .equivariant import block_ranks
 from .linalg import CertificateError, Echelon, echelon_of_rows
 
@@ -77,16 +82,66 @@ class ResourceRefusal(RuntimeError):
     """Raised instead of attempting an enumeration past the resource cap."""
 
 
+def _classes(weights: tuple) -> tuple:
+    """(class weights, class sizes): the distinct weights, ascending, and
+    how many labels carry each."""
+    distinct = tuple(sorted(set(weights)))
+    return distinct, tuple(map(weights.count, distinct))
+
+
+def _block_choices(weights: tuple, counts: tuple, room: Optional[int],
+                   ordered: bool) -> list:
+    """(counts left, ways) for every nonempty block of the free labels,
+    counts[i] of weight weights[i], that weighs at most `room` (None: any):
+    c_i labels of class i in prod C(counts[i], c_i) ways, times (sum c_i)!
+    orders in ordered complexes."""
+    choices = [((), 1, 0, 0)]  # (counts left so far, ways, weight, size)
+    for w, r in zip(weights, counts):
+        choices = [(left + (r - c,), ways * comb(r, c), weight + c * w, size + c)
+                   for left, ways, weight, size in choices
+                   for c in range(r + 1) if room is None or weight + c * w <= room]
+    return [(left, ways * factorial(size) if ordered else ways)
+            for left, ways, _, size in choices if size]
+
+
 @lru_cache(maxsize=None)
-def _fill_count(n: int, parts: int, cap: int, ordered: bool) -> int:
-    """Ways to fill `parts` blocks of 1 to cap labels, left to right, with n
-    labels: each block picks its labels in order (ordered complexes) or as
-    an ascending set (permutohedra) from those still free."""
+def _fill_count(weights: tuple, counts: tuple, parts: int, width: Optional[int],
+                ordered: bool) -> int:
+    """Ways to fill `parts` blocks, left to right, with counts[i] labels of
+    weight weights[i]: each block is one of `_block_choices` of the labels
+    still free that fits the width.  Unit weights are the one-class case."""
     if parts == 0:
-        return 1 if n == 0 else 0
-    pick = perm if ordered else comb
-    return sum(pick(n, s) * _fill_count(n - s, parts - 1, cap, ordered)
-               for s in range(1, min(cap, n) + 1))
+        return int(not any(counts))
+    if parts > sum(counts):
+        return 0
+    return sum(ways * _fill_count(weights, left, parts - 1, width, ordered)
+               for left, ways in _block_choices(weights, counts, width, ordered))
+
+
+def _cell_count(spec: ComplexSpec, degree: int) -> int:
+    """The number of degree-cells, exact for every spec, counted by weight
+    class (`_fill_count`) without listing a cell."""
+    if not 0 <= degree <= max(spec.n - 1, 0):
+        return 0
+    return _fill_count(*_classes(spec.weights), spec.n - degree, spec.width,
+                       spec.kind == ORDERED)
+
+
+def matched_count(spec: ComplexSpec, degree: int) -> int:
+    """m_degree, the number of matched degree-cells of the least-label
+    matching: those in which the least label a leads a block of two or
+    more labels.  Each is a (degree-1)-cell on the other labels with a put
+    first in one of its n - degree blocks, a block B that a fits into
+    (w(B) + w_a <= width): B's labels and order, B's place, and the rest
+    filled around it, all counted by weight class."""
+    places = spec.n - degree
+    if degree < 1 or places < 1:
+        return 0
+    weights, counts = _classes(spec.weights[1:])
+    room = None if spec.width is None else spec.width - spec.weights[0]
+    ordered = spec.kind == ORDERED
+    return places * sum(ways * _fill_count(weights, left, places - 1, spec.width, ordered)
+                        for left, ways in _block_choices(weights, counts, room, ordered))
 
 
 def _top_bound(spec: ComplexSpec) -> int:
@@ -98,18 +153,23 @@ def _top_bound(spec: ComplexSpec) -> int:
 
 
 def estimate_cells(spec: ComplexSpec, degree: Optional[int] = None) -> int:
-    """Upper estimate of the number of cells (exact for unit weights)."""
+    """The number of cells for unit weights (exact, `_cell_count`); for
+    weighted labels the unrestricted ordered count, an upper estimate.
+
+    The guard reads this before the top degree is searched for, so it has
+    to stay immediate.  An exact weighted count runs a state per count of
+    labels left in each weight class and blocks left: on 28 labels of seven
+    weights at width 10 (the tests' hard packing), degree 0 alone took 8 s,
+    and every degree up to the top bound 939,542 states and 101-132 s of
+    CPU on a shared 2-vCPU VM, where the refusal has to take under 0.5 s."""
     n = spec.n
     if degree is None:
         return sum(estimate_cells(spec, d) for d in range(_top_bound(spec) + 1))
+    if all(w == 1 for w in spec.weights):
+        return _cell_count(spec, degree)
     if not 0 <= degree <= max(n - 1, 0):
         return 0
-    blocks = n - degree
-    cap = n if spec.width is None else min(spec.width, n)
-    if all(w == 1 for w in spec.weights):
-        return _fill_count(n, blocks, cap, spec.kind == ORDERED)
-    # weighted fallback: the unrestricted ordered count bounds both kinds
-    return factorial(n) * comb(n - 1, blocks - 1)
+    return factorial(n) * comb(n - 1, n - degree - 1)
 
 
 def _involutions(n: int) -> int:
@@ -157,45 +217,65 @@ def image_echelon(spec: ComplexSpec, degree: int, track: bool = False) -> Echelo
     Below the top, the boundaries of the pivot cells of the echelon one
     degree up, built first if need be, are left out (clearing).
     """
-    return _cleared((spec, degree), track, image_echelon, boundary_matrix)
+    ech = _image_cache.get((spec, degree))
+    if ech is not None and (ech.track or not track):
+        return ech
+    top = spec.top_degree()
+    if not 0 <= degree < top:
+        ech = _image_cache[(spec, degree)] = Echelon(track=track)
+        return ech
+    above = image_echelon(spec, degree + 1) if degree + 1 < top else Echelon()
+    return _cleared((spec, degree), above, boundary_matrix(spec, degree + 1).columns(), track)
 
 
 def _morse_echelon(spec: ComplexSpec, degree: int) -> Echelon:
     """`image_echelon` of the Morse complex: the echelon of the image of
-    d^M_{degree+1} over the critical degree-cells, cleared the same way."""
-    return _cleared((spec, degree, "morse"), False, _morse_echelon, _morse_matrix)
+    d^M_{degree+1} over the critical degree-cells, cleared the same way.
 
-
-def _cleared(key: tuple, track: bool, echelon, matrix) -> Echelon:
-    """The cached echelon at `key` = (spec, degree, ...) of the columns of
-    matrix(spec, degree + 1), cleared by echelon(spec, degree + 1)."""
-    ech = _image_cache.get(key)
-    if ech is not None and (ech.track or not track):
+    The echelons missing above it are built first, in one pass from the
+    highest down, which lists the critical cells of each degree once: the
+    rows of one matrix are the columns of the next.
+    """
+    ech = _image_cache.get((spec, degree, "morse"))
+    if ech is not None:
         return ech
-    spec, degree = key[:2]
     top = spec.top_degree()
-    if 0 <= degree < top:
-        above = echelon(spec, degree + 1) if degree + 1 < top else Echelon()
-        columns = matrix(spec, degree + 1).columns()
-        above.clear(columns)
-        ech = echelon_of_rows(columns, track)
-    else:
-        ech = Echelon(track=track)
-    _image_cache[key] = ech
+    if not 0 <= degree < top:
+        ech = _image_cache[(spec, degree, "morse")] = Echelon()
+        return ech
+    high = degree
+    while high + 1 < top and (spec, high + 1, "morse") not in _image_cache:
+        high += 1
+    ech = _image_cache[(spec, high + 1, "morse")] if high + 1 < top else Echelon()
+    cells = None
+    for k in range(high, degree - 1, -1):
+        d = _morse_matrix(spec, k + 1, cells)
+        cells = d.lowers
+        ech = _cleared((spec, k, "morse"), ech, d.columns())
+        del d  # its columns go before the next matrix is built
     return ech
 
 
-def _morse_matrix(spec: ComplexSpec, degree: int) -> MorseMatrix:
-    """`morse_matrix`, once its matched incidences are units and its critical
-    and matched cells add up to the cells of its degree."""
-    d = morse_matrix(spec, degree)
+def _cleared(key: tuple, above: Echelon, columns: list, track: bool = False) -> Echelon:
+    """The echelon of `columns`, those of d_{degree+1} for `key` = (spec,
+    degree, ...), cleared by `above`, the echelon one degree up; cached."""
+    above.clear(columns)
+    ech = _image_cache[key] = echelon_of_rows(columns, track)
+    return ech
+
+
+def _morse_matrix(spec: ComplexSpec, degree: int, uppers: Optional[list] = None) -> MorseMatrix:
+    """`morse_matrix`, once its matched incidences are units and, in both of
+    its degrees, its critical and matched cells add up to the cells."""
+    d = morse_matrix(spec, degree, uppers)
     if not d.incidences <= {1, -1}:
         raise CertificateError(f"matched incidences {sorted(d.incidences)} in degree "
                                f"{degree} of {spec.describe()} are not all units")
-    cells = d.cols + matched_count(spec, degree) + matched_count(spec, degree + 1)
-    if cells != _cell_count(spec, degree):
-        raise CertificateError(f"{cells} critical and matched cells in degree {degree} "
-                               f"of {spec.describe()}, not {_cell_count(spec, degree)}")
+    for k, critical in ((degree, d.cols), (degree - 1, d.rows)):
+        cells = critical + matched_count(spec, k) + matched_count(spec, k + 1)
+        if cells != _cell_count(spec, k):
+            raise CertificateError(f"{cells} critical and matched cells in degree {k} "
+                                   f"of {spec.describe()}, not {_cell_count(spec, k)}")
     return d
 
 
@@ -242,12 +322,6 @@ def boundary_rank(spec: ComplexSpec, degree: int,
     degree-1 up for the Morse echelons, each cleared by the one above.
     """
     return _ranks(spec, [degree], max_cells)[degree]
-
-
-def _cell_count(spec: ComplexSpec, degree: int) -> int:
-    if all(w == 1 for w in spec.weights):
-        return estimate_cells(spec, degree)  # exact for unit weights
-    return len(enumerate_cells(spec, degree))
 
 
 def _betti_rule(cells: int, rank: int, rank_up: int) -> int:

@@ -7,6 +7,8 @@ permutation, sampling random chains, summing a boundary in the
 coefficients' own number types and running a script under `python -O`.
 One is the oracle for the shape templates of `cycles`: generator and word
 cycles built directly on their own labels, with no template or relabeling.
+One is the oracle for `homology.matched_count`: the matched cells of the
+least-label matching counted by listing the cells on the other labels.
 Two are independent oracles for `linalg`: the full-scan certificate that
 `Echelon.annihilator` replaced, and a rank modulo a prime.  One is the
 oracle for `Irrep.matrix`: the seminormal form in Fractions that its
@@ -27,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from stripconf.cells import cell_complex, enumerate_cells, wheel_decomposition
+from stripconf.cells import ComplexSpec, cell_complex, enumerate_cells, wheel_decomposition
 from stripconf.chains import ChainVector, boundary, boundary_cell, concat_all
 from stripconf.cycles import AvgFilter, Wheel, _spun, _top_cell
 from stripconf.equivariant import bubble_swaps, tableaux
@@ -61,6 +63,17 @@ def direct_word_cycle(word, width):
                                    isinstance(f, AvgFilter) and len(wheels) > 2)
         chains.append(-z if len(wheels) == 2 and wheels[0].size % 2 else z)
     return concat_all(chains, width)
+
+
+def block_occurrence_count(spec, degree) -> int:
+    """m_degree by listing: the blocks that the least label a fits into
+    (w(B) + w_a at most the width), summed over the (degree-1)-cells on the
+    other labels.  Each such block, a put first in it, is one matched
+    degree-cell."""
+    others = ComplexSpec(spec.kind, spec.labels[1:], spec.weights[1:], spec.width)
+    room = None if spec.width is None else spec.width - spec.weights[0]
+    return sum(1 for cell in enumerate_cells(others, degree - 1) for block in cell
+               if room is None or sum(spec.weight(a) for a in block) <= room)
 
 
 def s_of_sigma(sigma) -> tuple:

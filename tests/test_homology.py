@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+import stripconf.cells as cells
 import stripconf.chains as chains
 from stripconf.cells import (cell_complex, cell_index, enumerate_cells, parse_weighted_set,
                              permutohedron)
 from stripconf.chains import (ChainVector, boundary, boundary_matrix, concat_all, is_cycle,
-                              matched_count, morse_matrix)
+                              morse_matrix)
 from stripconf.cycles import Wheel, averaged_filter_cycle, wheel_cycle
 import stripconf.homology as homology
 from stripconf.homology import (
@@ -24,11 +25,13 @@ from stripconf.homology import (
     homology_profile,
     image_echelon,
     is_boundary,
+    isotypic_profile,
+    matched_count,
 )
 from stripconf.linalg import Echelon, echelon_of_rows
 
-from conftest import (assert_identical, full_scan_annihilator, random_chain, rank_mod_p,
-                      run_optimized)
+from conftest import (assert_identical, block_occurrence_count, full_scan_annihilator,
+                      random_chain, rank_mod_p, run_optimized)
 from test_chains import specs
 
 
@@ -388,6 +391,20 @@ def test_estimate_cells_counts_exactly_for_unit_weights():
                         (spec.describe(), d)
 
 
+@settings(max_examples=80, deadline=None)
+@given(specs(widths=(1, 2, 3, 4, 5, 6, None)))
+def test_cells_are_counted_exactly_by_weight_class(spec):
+    for d in range(-1, spec.n + 1):
+        assert homology._cell_count(spec, d) == len(enumerate_cells(spec, d)), d
+
+
+@settings(max_examples=80, deadline=None)
+@given(specs(widths=(1, 2, 3, 4, 5, 6, None)))
+def test_matched_cells_are_counted_as_the_listed_blocks(spec):
+    for d in range(-1, spec.n + 2):
+        assert matched_count(spec, d) == block_occurrence_count(spec, d), d
+
+
 def test_unbounded_width():
     assert homology_profile(cell_complex(3, None)).betti == (1, 3, 2)
     assert homology_profile(permutohedron(4, None)).betti == \
@@ -627,6 +644,40 @@ def test_a_rank_builds_the_morse_degrees_above_it_top_down(monkeypatch):
         (1, "morse"), (2, "morse"), (3, "morse")]
 
 
+@pytest.mark.parametrize("spec", [_weighted("1 2:2 3 4 5", 3), _weighted("1 2:2 3", 3)],
+                         ids=lambda spec: spec.describe())
+def test_weighted_ranks_list_only_the_cells_on_the_other_labels(monkeypatch, spec):
+    listed = []
+    real = cells.enumerate_cells
+
+    def spy(s, dim):
+        listed.append(s)
+        return real(s, dim)
+
+    for module in (cells, chains, homology):
+        monkeypatch.setattr(module, "enumerate_cells", spy)
+    monkeypatch.setattr(homology, "_image_cache", {})
+    betti = homology_profile(spec).betti
+    monkeypatch.setattr(homology, "_image_cache", {})
+    assert tuple(betti_number(spec, k) for k in range(len(betti))) == betti
+    # the critical cells come from the cells on the other labels; every
+    # count, of cells and of matched cells, is made by weight class
+    assert listed and set(listed) == {chains._others(spec)}
+
+
+@pytest.mark.parametrize("spec", [
+    cell_complex(6, 3), cell_complex(7, 2), cell_complex(7, 3),
+    pytest.param(cell_complex(8, 3), marks=pytest.mark.stretch)],
+    ids=lambda spec: spec.describe())
+def test_morse_ranks_match_the_isotypic_ranks(monkeypatch, spec):
+    # the two routes share only the split tables
+    monkeypatch.setattr(homology, "_image_cache", {})
+    top = spec.top_degree()
+    morse = tuple(matched_count(spec, k) + homology._morse_echelon(spec, k - 1).rank
+                  for k in range(1, top + 1))
+    assert morse == isotypic_profile(spec).profile.ranks[1:top + 1]
+
+
 def test_a_membership_query_builds_the_degrees_above_it_top_down(monkeypatch):
     spec = permutohedron(6, 3)
     z = boundary(ChainVector(spec, 2, {enumerate_cells(spec, 2)[0]: 1}))
@@ -805,6 +856,18 @@ def test_a_critical_cell_left_out_of_the_count_is_refused(monkeypatch):
         boundary_rank(spec, 1)
 
 
+def test_a_critical_cell_counted_twice_is_refused(monkeypatch):
+    # degree 0 is only ever the rows of d^M_1, listed once with them
+    spec = permutohedron(4, 2)  # 6 critical and 18 matched of its 24 vertices
+    real = chains._critical_cells
+    monkeypatch.setattr(homology, "_image_cache", {})
+    monkeypatch.setattr(chains, "_critical_cells",
+                        lambda s, k: real(s, k) + real(s, k)[:1] if k == 0 else real(s, k))
+    with pytest.raises(CertificateError,
+                       match=r"25 critical and matched cells in degree 0 .*, not 24"):
+        boundary_rank(spec, 1)
+
+
 def test_a_morse_echelon_row_that_is_no_cycle_is_refused(monkeypatch):
     spec = permutohedron(4, 2)
     monkeypatch.setattr(homology, "_image_cache", {})
@@ -840,6 +903,8 @@ def test_planted_morse_faults_raise_under_python_O():
         real = chains._critical_cells
         chains._critical_cells = lambda s, k: real(s, k)[:-1] if k == 1 else real(s, k)
         refused(cell_complex(3, 3, (1, 2, 1)))
+        chains._critical_cells = lambda s, k: real(s, k) + real(s, k)[:1] if k == 0 else real(s, k)
+        refused(permutohedron(4, 2))
         chains._critical_cells = real
 
         planted = Echelon()
@@ -851,7 +916,7 @@ def test_planted_morse_faults_raise_under_python_O():
         except homology.CertificateError:
             print("CertificateError", sys.flags.optimize)
     """)
-    assert printed == ["CertificateError", "1"] * 3
+    assert printed == ["CertificateError", "1"] * 4
 
 
 @settings(max_examples=60, deadline=None)
